@@ -1,0 +1,56 @@
+"""Golden digests: byte-identical trial output for short pinned runs.
+
+Every scenario x method runs one 1 s trial with the decision log on.  The
+burn-in is cut to 0.2 s, so the goodput, delay and selection windows are not
+empty, and sp2's load intervals to 0.25 s, so all four of them play out.
+A change that means to alter trial output updates these digests and says
+why; a refactor leaves them as they are.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import pytest
+
+from wlansim import scenarios
+from wlansim.runner import RunParams, _dump_records, run_trial
+
+METHODS = {
+    "ucb-sa": dict(algo="ucb", arch="sa"),
+    "ucb-ma": dict(algo="ucb", arch="ma"),
+    "linucb-sa": dict(algo="linucb", arch="sa"),
+    "linucb-ma": dict(algo="linucb", arch="ma"),
+    "static-ch7": dict(algo="none", static_channel=7),
+}
+
+GOLDEN = {
+    ("sp1", "ucb-sa"): "2e0db3645220c27a5f1aba25605309c1140117c267f1c7cdfe9917c58fba97f0",
+    ("sp1", "ucb-ma"): "b0ba74f23fb26dc9d381d74d35c6c357ef285627eb1a25a08da949b8593e9b59",
+    ("sp1", "linucb-sa"): "11d8ac51b3e952d75fbd807aaf5c9e9fc3c93a5f5749fb08d68a06f65b011475",
+    ("sp1", "linucb-ma"): "0d285312f1ea4e03375b162f71b5845696c5088ed1748084a32ca57359d21492",
+    ("sp1", "static-ch7"): "28864815c804530f8eb52b040403cd3fc9a1e6dcdcf7c58bd5c0d3109bb45696",
+    ("sp2", "ucb-sa"): "bdf4d1ecbed51c83da4c2ae2f71d57e8980e3550fad3b014e5b56917f5b436d1",
+    ("sp2", "ucb-ma"): "aaace0a625d4ee24ac24d24419662308fdadca7bb2a27419ecfb456d75366ec4",
+    ("sp2", "linucb-sa"): "32ce05f4c56a31b7623c7b48de5c36ffdd50b22d4545f19a3178df4d1778bd61",
+    ("sp2", "linucb-ma"): "d305d9f68ba6efa1c9606b0a776c86d278e1e40677f874dbd476aebb7530d2dd",
+    ("sp2", "static-ch7"): "8b6d1cc62c3d8dff3d60048e9f20166291fc67fcbfe8941074a3c4f2cb4ad027",
+    ("mp1", "ucb-sa"): "25d20c37b1cf36182f6c3ba31ec43948396e032c8cdb76ffb72c8781917b426b",
+    ("mp1", "ucb-ma"): "5ef42c81607a4a967f71eaa45887338f1f63ba1ae6609e2e7ba42e4ee4d6ea34",
+    ("mp1", "linucb-sa"): "f9df977ec060c90d8ed16a1c6145b3f7806004a8485e6fcb1211bf40078dc11a",
+    ("mp1", "linucb-ma"): "134a087852fadf238fbb4f7abc1c5963501922c84a7f6e47635cda98254b4570",
+    ("mp1", "static-ch7"): "ec3194d9a428606f88dfe18a012fa0765abce07c13aad97ebcad808689ae6078",
+}
+
+
+def _digest(scenario, method):
+    spec = scenarios.build_scenario(scenario, 1)
+    spec = replace(spec, burn_in_s=0.2,
+                   interval_s=0.25 if spec.interval_s else None)
+    params = RunParams(duration_s=1.0, decision_log=True, **METHODS[method])
+    text = _dump_records(run_trial(spec, params, 0))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("scenario,method", sorted(GOLDEN))
+def test_golden_digest(scenario, method):
+    assert _digest(scenario, method) == GOLDEN[(scenario, method)]
