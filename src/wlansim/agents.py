@@ -4,6 +4,12 @@ An AP's action is the triple (operational channel, primary, CW).  The
 single-agent architecture learns over the 84 joint arms; the multi-agent one
 runs a channel agent, a primary agent masked to the chosen channel's members,
 and a CW agent in sequence, all paid the same scalar reward.
+
+Architecture and policy are independent choices.  Both policies share one
+interface, select(x, mask) / update(arm, x, reward), plus a needs_context
+flag; UCB ignores x.  The controllers therefore never look at the algorithm:
+they build a context vector only for a policy that reads one, and the MAC
+builds no SensorView at all for UCB.
 """
 
 import math
@@ -100,8 +106,10 @@ class UcbPolicy:
     """UCB over k arms: mean plus sqrt(alpha ln t / 2N) bonus.
 
     Arms are first pulled once each in index order (restricted to the round's
-    mask); ties break to the lowest index.
+    mask); ties break to the lowest index.  The context x is ignored.
     """
+
+    needs_context = False
 
     def __init__(self, n_arms, alpha):
         self.n_arms = n_arms
@@ -110,7 +118,7 @@ class UcbPolicy:
         self.means = np.zeros(n_arms)
         self.t = 0
 
-    def select(self, mask=None):
+    def select(self, x=None, mask=None):
         idx = range(self.n_arms) if mask is None else mask
         for a in idx:
             if self.counts[a] == 0:
@@ -124,7 +132,7 @@ class UcbPolicy:
                 best_arm, best_score = a, score
         return best_arm
 
-    def update(self, arm, reward):
+    def update(self, arm, x, reward):
         self.counts[arm] += 1
         self.means[arm] += (reward - self.means[arm]) / self.counts[arm]
         self.t += 1
@@ -139,6 +147,7 @@ class LinUcbPolicy:
     """
 
     REFACTOR_EVERY = 1000
+    needs_context = True
 
     def __init__(self, n_arms, dim, alpha):
         self.n_arms = n_arms
@@ -184,41 +193,47 @@ class LinUcbPolicy:
             self.A_inv[arm] = Ainv - np.outer(u, u) / (1.0 + x @ u)
 
 
+def _policy(algo, n_arms, role, alpha):
+    if algo == "ucb":
+        return UcbPolicy(n_arms, alpha)
+    if algo == "linucb":
+        return LinUcbPolicy(n_arms, CONTEXT_DIMS[role], alpha)
+    raise ValueError(f"unknown algorithm {algo!r}")
+
+
 class SingleAgentController:
-    """One policy over the 84 joint arms."""
+    """One policy over the 84 joint arms; each cycle pays every choice."""
 
     def __init__(self, algo, alpha):
-        self.algo = algo
-        if algo == "ucb":
-            self.policy = UcbPolicy(len(JOINT_ACTIONS), alpha)
-        else:
-            self.policy = LinUcbPolicy(len(JOINT_ACTIONS), CONTEXT_DIMS[ROLE_SA], alpha)
+        self.policy = _policy(algo, len(JOINT_ACTIONS), ROLE_SA, alpha)
+        self.needs_context = self.policy.needs_context
         self._pending = None
 
     def begin_cycle(self, sensors):
         if self._pending is not None:
             raise RuntimeError("begin_cycle while a cycle is outstanding")
-        if self.algo == "ucb":
-            arm = self.policy.select()
-            self._pending = (arm, None)
-        else:
-            x = build_context(sensors, ROLE_SA)
-            arm = self.policy.select(x)
-            self._pending = (arm, x)
-        return JOINT_ACTIONS[arm]
+        self._pending = []
+        return self._decide(sensors)
 
     def complete_cycle(self, reward):
         if self._pending is None:
             raise RuntimeError("complete_cycle without a pending action")
-        arm, x = self._pending
+        for policy, arm, x in self._pending:
+            policy.update(arm, x, reward)
         self._pending = None
-        if self.algo == "ucb":
-            self.policy.update(arm, reward)
-        else:
-            self.policy.update(arm, x, reward)
+
+    def _choose(self, policy, sensors, role, mask=None, **upstream):
+        x = (build_context(sensors, role, **upstream)
+             if policy.needs_context else None)
+        arm = policy.select(x, mask)
+        self._pending.append((policy, arm, x))
+        return arm
+
+    def _decide(self, sensors):
+        return JOINT_ACTIONS[self._choose(self.policy, sensors, ROLE_SA)]
 
 
-class MultiAgentController:
+class MultiAgentController(SingleAgentController):
     """Channel, primary and CW agents run in sequence with a shared reward.
 
     The primary agent keeps one arm per basic channel and is masked to the
@@ -227,55 +242,20 @@ class MultiAgentController:
     """
 
     def __init__(self, algo, alpha):
-        self.algo = algo
-        n_ch, n_pri, n_cw = len(CHANNEL_GROUPS), len(BASIC_CHANNELS), len(CW_VALUES)
-        if algo == "ucb":
-            self.ch = UcbPolicy(n_ch, alpha)
-            self.pri = UcbPolicy(n_pri, alpha)
-            self.cw = UcbPolicy(n_cw, alpha)
-        else:
-            self.ch = LinUcbPolicy(n_ch, CONTEXT_DIMS[ROLE_CHANNEL], alpha)
-            self.pri = LinUcbPolicy(n_pri, CONTEXT_DIMS[ROLE_PRIMARY], alpha)
-            self.cw = LinUcbPolicy(n_cw, CONTEXT_DIMS[ROLE_CW], alpha)
+        self.ch = _policy(algo, len(CHANNEL_GROUPS), ROLE_CHANNEL, alpha)
+        self.pri = _policy(algo, len(BASIC_CHANNELS), ROLE_PRIMARY, alpha)
+        self.cw = _policy(algo, len(CW_VALUES), ROLE_CW, alpha)
+        self.needs_context = self.ch.needs_context
         self._pending = None
 
-    def begin_cycle(self, sensors):
-        if self._pending is not None:
-            raise RuntimeError("begin_cycle while a cycle is outstanding")
-        if self.algo == "ucb":
-            ch_arm = self.ch.select()
-            group = CHANNEL_GROUPS[ch_arm]
-            pri_mask = [c - 1 for c in group]
-            pri_arm = self.pri.select(pri_mask)
-            cw_arm = self.cw.select()
-            self._pending = (ch_arm, pri_arm, cw_arm, None, None, None)
-        else:
-            x_ch = build_context(sensors, ROLE_CHANNEL)
-            ch_arm = self.ch.select(x_ch)
-            group = CHANNEL_GROUPS[ch_arm]
-            x_pri = build_context(sensors, ROLE_PRIMARY, channels=group)
-            pri_mask = [c - 1 for c in group]
-            pri_arm = self.pri.select(x_pri, pri_mask)
-            primary = BASIC_CHANNELS[pri_arm]
-            x_cw = build_context(sensors, ROLE_CW, channels=group, primary=primary)
-            cw_arm = self.cw.select(x_cw)
-            self._pending = (ch_arm, pri_arm, cw_arm, x_ch, x_pri, x_cw)
-        return Action(CHANNEL_GROUPS[ch_arm], BASIC_CHANNELS[pri_arm],
-                      CW_VALUES[cw_arm])
-
-    def complete_cycle(self, reward):
-        if self._pending is None:
-            raise RuntimeError("complete_cycle without a pending action")
-        ch_arm, pri_arm, cw_arm, x_ch, x_pri, x_cw = self._pending
-        self._pending = None
-        if self.algo == "ucb":
-            self.ch.update(ch_arm, reward)
-            self.pri.update(pri_arm, reward)
-            self.cw.update(cw_arm, reward)
-        else:
-            self.ch.update(ch_arm, x_ch, reward)
-            self.pri.update(pri_arm, x_pri, reward)
-            self.cw.update(cw_arm, x_cw, reward)
+    def _decide(self, sensors):
+        group = CHANNEL_GROUPS[self._choose(self.ch, sensors, ROLE_CHANNEL)]
+        primary = BASIC_CHANNELS[self._choose(
+            self.pri, sensors, ROLE_PRIMARY, mask=[c - 1 for c in group],
+            channels=group)]
+        cw = CW_VALUES[self._choose(self.cw, sensors, ROLE_CW,
+                                    channels=group, primary=primary)]
+        return Action(group, primary, cw)
 
 
 def make_controller(arch, algo, alpha):

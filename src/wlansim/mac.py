@@ -215,7 +215,8 @@ class Bss:
             return
         now = self.sim.now()
         if self.agent is not None:
-            action = self.agent.begin_cycle(SensorView(self, now))
+            action = self.agent.begin_cycle(
+                SensorView(self, now) if self.agent.needs_context else None)
             self.channels = action.channels
             self.primary = action.primary
             self.cw = action.cw

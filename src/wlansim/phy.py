@@ -147,7 +147,9 @@ class SpectrumState:
 
     Tracks active transmissions, per-channel busy history for the occupancy
     features, and subscriber lists so contending nodes hear busy/idle edges
-    on their primary channel.
+    on their primary channel.  Each frame end drops the history spans that
+    ended a full window ago, so history stays bounded by the window whether
+    or not anyone reads the occupancy.
     """
 
     def __init__(self, window=100 * MS):
@@ -182,7 +184,10 @@ class SpectrumState:
         for c in tx.channels:
             self.active[c].discard(tx)
             self.last_busy_end[c] = now
-            self.history[c].append((tx.start, now, tx.bss))
+            hist = self.history[c]
+            hist.append((tx.start, now, tx.bss))
+            while hist[0][1] <= now - self.window:
+                hist.popleft()
             if not self.active[c]:
                 for listener in tuple(self._listeners[c]):
                     listener.primary_idle(c, now)
@@ -226,10 +231,8 @@ class SpectrumState:
             return (0.0, 0.0, 0.0, 0.0)
         out = []
         for c in BASIC_CHANNELS:
-            hist = self.history[c]
-            while hist and hist[0][1] <= horizon:
-                hist.popleft()
-            spans = [(max(s, horizon), e) for s, e, b in hist if b != own_bss]
+            spans = [(max(s, horizon), e) for s, e, b in self.history[c]
+                     if e > horizon and b != own_bss]
             spans += [(max(tx.start, horizon), now)
                       for tx in self.active[c] if tx.bss != own_bss]
             out.append(_union_length(spans) / denom)

@@ -21,6 +21,9 @@ from .phy import CHANNEL_GROUPS, GROUP_LABEL, SpectrumState
 
 SCHEMA = 1
 
+# the SP2 load schedule: three distinct underloaded APs, then one repeat
+N_INTERVALS = 4
+
 
 @dataclass
 class RunParams:
@@ -76,7 +79,7 @@ def _trial_assignments(spec, trial):
         first3 = [legacy[int(i)] for i in picks]
         under = [*first3, first3[int(rng.integers(0, 3))]]
         per_interval = []
-        for k in range(4):
+        for k in range(N_INTERVALS):
             loads, rates = {}, {}
             for b in spec.bss:
                 if b.role != scenarios.LEGACY:
@@ -98,12 +101,24 @@ def _trial_assignments(spec, trial):
     return assign, schedule
 
 
+def _duration_ns(spec, params):
+    """Effective trial duration; it may not outrun the load schedule."""
+    duration = int(round((params.duration_s or spec.duration_s) * SEC))
+    if spec.interval_s:
+        iv = int(round(spec.interval_s * SEC))
+        if duration > N_INTERVALS * iv:
+            raise ValueError(
+                f"duration {duration / SEC:g} s exceeds the {N_INTERVALS} "
+                f"load intervals of {spec.interval_s:g} s")
+    return duration
+
+
 def run_trial(spec, params, trial, trace_file=None):
     """Execute one trial; returns the list of result records.
 
     trace_file, if given, receives one line per executed event.
     """
-    duration = int(round((params.duration_s or spec.duration_s) * SEC))
+    duration = _duration_ns(spec, params)
     burn_in = int(round(spec.burn_in_s * SEC))
     bonding = params.bonding or spec.bonding
     if trace_file is not None:
@@ -150,7 +165,7 @@ def run_trial(spec, params, trial, trace_file=None):
             for bid, rate in schedule["intervals"][k]["rates"].items():
                 bss_objs[bid].traffic.set_rate(rate, sim)
 
-        for k in (1, 2, 3):
+        for k in range(1, N_INTERVALS):
             sim.schedule(k * iv, INTERVAL, "schedule", apply_interval, k)
 
     sim.run_until(duration)
@@ -177,21 +192,15 @@ def _trial_records(spec, params, trial, bonding, duration, burn_in, bss_objs,
     goodputs = {}
     for b in spec.bss:
         m = bss_objs[b.bss_id].metrics
-        g = metrics.time_weighted_goodput(m.sample_t, m.sample_bits,
-                                          burn_in, duration)
-        goodputs[b.bss_id] = g
+        fields, freqs = _window_fields(m, burn_in, duration)
+        goodputs[b.bss_id] = fields["goodput_mbps"]
         rec = {"record": "bss", "trial": trial, "bss": b.bss_id,
-               "role": b.role, "goodput_mbps": g,
-               "delay_ms": metrics.delay_stats_ms(m.delay_ns, m.ack_t,
-                                                  burn_in, duration),
+               "role": b.role, **fields,
                "acked_bytes": m.acked_bytes, "retry_drops": m.retry_drops,
                "overflow_drops": bss_objs[b.bss_id].queue.overflow_drops,
                "cycles": m.cycles}
-        if m.decisions:
-            freqs = metrics.selection_frequencies(m.decisions, burn_in,
-                                                  duration)
+        if freqs is not None:
             rec["selections"] = freqs
-            rec["channel_selections"] = metrics.channel_frequencies(freqs)
             rec["pair_selections"] = metrics.pair_frequencies(freqs)
         records.append(rec)
 
@@ -207,20 +216,13 @@ def _trial_records(spec, params, trial, bonding, duration, burn_in, bss_objs,
         windows = metrics.interval_windows(duration, iv_ns, burn_in)
         for k, (w0, w1) in enumerate(windows):
             for b in spec.bss:
-                m = bss_objs[b.bss_id].metrics
-                rec = {"record": "interval", "trial": trial, "interval": k,
-                       "bss": b.bss_id, "window_s": [w0 / SEC, w1 / SEC],
-                       "goodput_mbps": metrics.time_weighted_goodput(
-                           m.sample_t, m.sample_bits, w0, w1),
-                       "delay_ms": metrics.delay_stats_ms(m.delay_ns, m.ack_t,
-                                                          w0, w1),
-                       "underloaded_bss": schedule["underloaded"][k],
-                       "underloaded_channel":
-                           schedule["underloaded_channel"][k]}
-                if m.decisions:
-                    freqs = metrics.selection_frequencies(m.decisions, w0, w1)
-                    rec["channel_selections"] = metrics.channel_frequencies(freqs)
-                records.append(rec)
+                fields, _ = _window_fields(bss_objs[b.bss_id].metrics, w0, w1)
+                records.append({
+                    "record": "interval", "trial": trial, "interval": k,
+                    "bss": b.bss_id, "window_s": [w0 / SEC, w1 / SEC],
+                    **fields,
+                    "underloaded_bss": schedule["underloaded"][k],
+                    "underloaded_channel": schedule["underloaded_channel"][k]})
 
     if params.decision_log:
         for b in spec.bss:
@@ -230,6 +232,19 @@ def _trial_records(spec, params, trial, bonding, duration, burn_in, bss_objs,
                     "record": "decisions", "trial": trial, "bss": b.bss_id,
                     "rows": [[t, key, r] for t, key, r in m.decisions]})
     return records
+
+
+def _window_fields(m, w0, w1):
+    """Goodput, delay and, for a learning AP, channel shares over [w0, w1],
+    plus the per-action shares behind them (None without decisions)."""
+    fields = {"goodput_mbps": metrics.time_weighted_goodput(
+                  m.sample_t, m.sample_bits, w0, w1),
+              "delay_ms": metrics.delay_stats_ms(m.delay_ns, m.ack_t, w0, w1)}
+    freqs = None
+    if m.decisions:
+        freqs = metrics.selection_frequencies(m.decisions, w0, w1)
+        fields["channel_selections"] = metrics.channel_frequencies(freqs)
+    return fields, freqs
 
 
 def _dump_records(records):
@@ -248,6 +263,7 @@ def run_many(spec, params, out_dir, workers=1, trace=False):
     """Run all trials, write one JSONL file per trial plus a summary."""
     params.validate()
     spec.validate()
+    _duration_ns(spec, params)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_trials = params.trials or spec.trials
@@ -313,17 +329,13 @@ def summarize(run_dir):
                "delay_mean_ms": float(np.mean(delays)) if delays else None,
                "retry_drops_mean": float(np.mean(
                    [r["retry_drops"] for r in rows]))}
-        sel = [r.get("channel_selections") for r in rows]
-        if all(s is not None for s in sel):
-            keys = sorted({k for s in sel for k in s})
-            rec["channel_selections_mean"] = {
-                k: float(np.mean([s.get(k, 0.0) for s in sel])) for k in keys}
-        records_pairs = [r.get("pair_selections") for r in rows]
-        if all(s is not None for s in records_pairs):
-            keys = sorted({k for s in records_pairs for k in s})
-            rec["pair_selections_mean"] = {
-                k: float(np.mean([s.get(k, 0.0) for s in records_pairs]))
-                for k in keys}
+        for field in ("channel_selections", "pair_selections"):
+            sel = [r.get(field) for r in rows]
+            if all(s is not None for s in sel):
+                keys = sorted({k for s in sel for k in s})
+                rec[f"{field}_mean"] = {
+                    k: float(np.mean([s.get(k, 0.0) for s in sel]))
+                    for k in keys}
         out.append(rec)
     if fairness_all:
         out.append({"record": "summary_fairness",

@@ -50,6 +50,8 @@ class StubRng:
 class AgentStub:
     """Plays one fixed action every cycle and logs the rewards it is paid."""
 
+    needs_context = True
+
     def __init__(self, action):
         self.action = action
         self.begun = 0

@@ -79,7 +79,8 @@ def criterion(num, slug):
 def _run_cached(name, spec, params):
     out = CACHE / name
     if not (out / "summary.jsonl").exists():
-        run_many(spec, params, out)
+        # criterion 12 pins the bytes as independent of the worker count
+        run_many(spec, params, out, workers=os.cpu_count())
     return out
 
 
@@ -298,7 +299,7 @@ def test_criterion_07_synthetic_bandit_regret():
             pol = UcbPolicy(7, alpha=1.09)
             for t in range(10_000):
                 a = pol.select()
-                pol.update(a, float(rng.random() < p[a]))
+                pol.update(a, None, float(rng.random() < p[a]))
                 if t >= 9_000 and a == 3:
                     tail_best += 1
         assert tail_best / (20 * 1000) > 0.90
@@ -324,7 +325,7 @@ def test_criterion_07_synthetic_bandit_regret():
                     exp[a] + rng.normal(0, 0.05), 0, 1)))
                 rl += best - exp[a]
                 a = ucb.select()
-                ucb.update(a, float(np.clip(
+                ucb.update(a, None, float(np.clip(
                     exp[a] + rng.normal(0, 0.05), 0, 1)))
                 ru += best - exp[a]
             lin_regret.append(rl)

@@ -148,14 +148,14 @@ def test_ucb_initialization_walks_arms_in_order():
     for _ in range(7):
         a = p.select()
         pulled.append(a)
-        p.update(a, 0.5)
+        p.update(a, None, 0.5)
     assert pulled == list(range(7))
 
 
 def test_ucb_initialization_respects_mask():
     p = UcbPolicy(7, 1.0)
     assert p.select(mask=[3, 5]) == 3
-    p.update(3, 0.2)
+    p.update(3, None, 0.2)
     assert p.select(mask=[3, 5]) == 5
 
 
@@ -204,11 +204,11 @@ def test_ucb_argmax_invariant_to_mean_shift():
 
 def test_ucb_update_bookkeeping():
     p = UcbPolicy(2, 1.0)
-    p.update(0, 0.7)
+    p.update(0, None, 0.7)
     assert p.means[0] == pytest.approx(0.7)
     assert p.counts[0] == 1 and p.t == 1
-    p.update(0, 0.0)
-    p.update(0, 1.0)
+    p.update(0, None, 0.0)
+    p.update(0, None, 1.0)
     # mean of (0.7, 0, 1)
     assert p.means[0] == pytest.approx(1.7 / 3)
 
@@ -218,7 +218,7 @@ def test_ucb_incremental_mean_matches_batch():
     p = UcbPolicy(1, 1.0)
     rewards = rng.random(10_000)
     for r in rewards:
-        p.update(0, float(r))
+        p.update(0, None, float(r))
     assert p.means[0] == pytest.approx(float(np.mean(rewards)), abs=1e-12)
 
 
@@ -369,8 +369,8 @@ def test_identical_reward_streams_keep_ucb_twins_in_lockstep():
         i, j = a.select(), b.select()
         assert i == j
         r = float(rng.random())
-        a.update(i, r)
-        b.update(j, r)
+        a.update(i, None, r)
+        b.update(j, None, r)
 
 
 def test_ma_primary_masked_to_channel_members():

@@ -11,7 +11,7 @@ import pytest
 from conftest import (AgentStub, StubRng, build_cell, foreign_frame,
                       offer_packets)
 from wlansim import mac
-from wlansim.agents import Action, compute_reward
+from wlansim.agents import Action, compute_reward, make_controller
 from wlansim.engine import MS, US
 from wlansim.mac import (ABORTED, BA_TIMEOUT, CTS_TIMEOUT, CW_MAX, CW_MIN,
                          DCB, DcfConfig, FAILURE, SCB, SUCCESS, TxQueue,
@@ -349,3 +349,22 @@ def test_full_buffer_queue_utilization_at_decisions():
     sim.run_until(5 * MS)
     assert agent.begun >= 3
     assert all(s.queue_util == 1.0 for s in agent.sensor_log)
+
+
+@pytest.mark.parametrize("algo", ["ucb", "linucb"])
+def test_sensor_view_only_for_policies_that_read_it(algo, monkeypatch):
+    views = []
+
+    def counting_view(bss, now):
+        views.append(now)
+        return sensor_view(bss, now)
+
+    sensor_view = mac.SensorView
+    monkeypatch.setattr(mac, "SensorView", counting_view)
+    sim, _, bss = build_cell(agent=make_controller("sa", algo, 1.0),
+                             beb=False)
+    bss.traffic = FullBufferSource(bss)
+    bss.traffic.start(sim)
+    sim.run_until(5 * MS)
+    assert bss.metrics.cycles >= 2
+    assert len(views) == (bss.metrics.cycles if algo == "linucb" else 0)

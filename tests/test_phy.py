@@ -316,6 +316,17 @@ def test_occupancy_in_unit_range_always():
         assert all(0.0 <= o <= 1.0 for o in occ)
 
 
+def test_history_stays_bounded_without_occupancy_reads():
+    # one 0.5 ms foreign frame per ms for a second, occupancy never read
+    s = SpectrumState()
+    for k in range(1000):
+        tx = _tx((1,), k * MS, k * MS + MS // 2, bss=2)
+        s.add(tx, k * MS)
+        s.remove(tx, k * MS + MS // 2)
+    assert len(s.history[1]) == 100     # the spans of the last window
+    assert s.occupancy(own_bss=1, now=1000 * MS)[0] == pytest.approx(0.5)
+
+
 # -- listener edges --
 
 def test_listener_sees_edges_not_levels():

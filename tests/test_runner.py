@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from wlansim import cli, scenarios, tuning
-from wlansim.runner import (RunParams, _dump_records, _trial_assignments,
-                            load_records, run_many, run_trial, summarize)
+from wlansim.engine import SEC
+from wlansim.runner import (RunParams, _dump_records, _duration_ns,
+                            _trial_assignments, load_records, run_many,
+                            run_trial, summarize)
 
 
 def _params(**kw):
@@ -251,3 +253,27 @@ def test_tuning_leaderboard(tmp_path):
     path = tuning.write_leaderboard(rows, tmp_path / "lb.jsonl")
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [r["rank"] for r in lines] == [1, 2]
+
+
+def test_duration_past_the_load_schedule_fails_fast(tmp_path, capsys):
+    # four 0.5 s intervals cover 2 s; 2.6 s used to crash after simulating
+    spec = scenarios.build_scenario("sp2", seed=5)
+    spec.interval_s = 0.5
+    spec.burn_in_s = 0.0
+    params = RunParams(algo="none", static_channel=2, trials=1,
+                       duration_s=2.6)
+    with pytest.raises(ValueError, match="load intervals"):
+        run_many(spec, params, tmp_path / "r")
+    assert not (tmp_path / "r").exists()
+    with pytest.raises(ValueError):
+        run_trial(spec, params, trial=0)
+
+    cfg = tmp_path / "sp2-short.json"
+    cfg.write_text(json.dumps(spec.to_dict()))
+    rc = cli.main(["run", "--config", str(cfg), "--algo", "none",
+                   "--channel", "2", "--trials", "1", "--duration", "2.6",
+                   "--out", str(tmp_path / "runs")])
+    assert rc == 1
+    assert "load intervals" in capsys.readouterr().err
+    params.duration_s = 2.0
+    assert _duration_ns(spec, params) == 2 * SEC

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +134,14 @@ def test_spec_validation_rejects_bad_layouts():
         spec = build_scenario("sp1", seed=1)
         spec.bonding = "wide"
         spec.validate()
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_shipped_config_matches_catalog(name):
+    # configs/<name>.json is the catalog's spec at the file's own seed
+    shipped = json.loads((CONFIGS / f"{name}.json").read_text())
+    built = build_scenario(name, shipped["seed"]).to_dict()
+    assert shipped == json.loads(json.dumps(built))
