@@ -1,8 +1,11 @@
 """Golden digests: byte-identical trial output for short pinned runs.
 
-Every scenario x method runs one 1 s trial with the decision log on.  The
-burn-in is cut to 0.2 s, so the goodput, delay and selection windows are not
-empty, and sp2's load intervals to 0.25 s, so all four of them play out.
+Every scenario x method runs one 1 s trial with the decision log on.  sp1,
+sp2 and mp1 cover full-buffer learning APs; mp2 and mp3 add learning APs fed
+by VR, bursty and Poisson arrivals (seed 1, trial 0), and mp3 adds 80 MHz
+legacy APs.  The burn-in is cut to 0.2 s, so the goodput, delay and
+selection windows are not empty, and sp2's load intervals to 0.25 s, so all
+four of them play out.
 A change that means to alter trial output updates these digests and says
 why; a refactor leaves them as they are.
 """
@@ -39,6 +42,16 @@ GOLDEN = {
     ("mp1", "linucb-sa"): "f9df977ec060c90d8ed16a1c6145b3f7806004a8485e6fcb1211bf40078dc11a",
     ("mp1", "linucb-ma"): "134a087852fadf238fbb4f7abc1c5963501922c84a7f6e47635cda98254b4570",
     ("mp1", "static-ch7"): "ec3194d9a428606f88dfe18a012fa0765abce07c13aad97ebcad808689ae6078",
+    ("mp2", "ucb-sa"): "1ac923c15b114e0d01b5141e6e1d7e153eca8b9c9f74d731f04584e2aaecf649",
+    ("mp2", "ucb-ma"): "beaa0cd0beada2a2ec82431ae4cc425bd72c97ed821b402a87529bd7a4c8cc1a",
+    ("mp2", "linucb-sa"): "47a8122ac18b3f63113ab6a9ac953c94673adec5cdcd085c53fcc8c0a9f9a287",
+    ("mp2", "linucb-ma"): "afae9f0473205c48e55b66baccaec960a696263ff9c2af943d2bf81ef2f4402a",
+    ("mp2", "static-ch7"): "10746f968ed5a7379b62ebd3e546f4de9b58ba1e8e7f5babc298c0cb2e13fb21",
+    ("mp3", "ucb-sa"): "7afc553e4c7418904006175ae04aa8eb23e7c5681469d3ceb04486a83798b6e5",
+    ("mp3", "ucb-ma"): "0f9dbbf89395e7817519ef7c36a0cfa10308575e1cbaf85b7587bc84a749f0be",
+    ("mp3", "linucb-sa"): "890ddabc558996a75ebf1ef0e39fbb268a8c7f4df24461842cd751b2afc5db1a",
+    ("mp3", "linucb-ma"): "66ea3d24daedcc1832881009157597f9ca650d2f444f565939deee455159c572",
+    ("mp3", "static-ch7"): "7aad4fd08f469a41a532f8892d92dabc4e92a30922172ba840ed9814acb8f7ee",
 }
 
 
