@@ -76,6 +76,10 @@ class ScenarioSpec:
             b.validate()
         if self.bonding not in ("scb", "dcb"):
             raise ValueError(f"unknown bonding mode {self.bonding!r}")
+        if self.interval_s and len(self.legacy_ids()) < 3:
+            # the load schedule underloads three distinct legacy APs
+            raise ValueError(f"interval_s needs at least 3 legacy BSSs, "
+                             f"got {len(self.legacy_ids())}")
 
     def learning_ids(self):
         return [b.bss_id for b in self.bss if b.role == LEARNING]
@@ -94,21 +98,24 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, d):
-        bss = []
-        for b in d["bss"]:
-            t = TrafficSpec(**b["traffic"])
-            load = t.load
-            if isinstance(load, list):
-                t.load = tuple(load)
-            bss.append(BssSpec(
-                bss_id=b["bss_id"], role=b["role"], traffic=t,
-                channels=tuple(b["channels"]) if b["channels"] else None,
-                primary=b["primary"],
-                ap_pos=tuple(b["ap_pos"]), sta_pos=tuple(b["sta_pos"])))
-        spec = cls(name=d["name"], seed=d["seed"], bss=bss,
-                   bonding=d["bonding"], duration_s=d["duration_s"],
-                   burn_in_s=d["burn_in_s"], trials=d["trials"],
-                   interval_s=d["interval_s"], area=tuple(d["area"]))
+        try:
+            bss = []
+            for b in d["bss"]:
+                t = TrafficSpec(**b["traffic"])
+                load = t.load
+                if isinstance(load, list):
+                    t.load = tuple(load)
+                bss.append(BssSpec(
+                    bss_id=b["bss_id"], role=b["role"], traffic=t,
+                    channels=tuple(b["channels"]) if b["channels"] else None,
+                    primary=b["primary"],
+                    ap_pos=tuple(b["ap_pos"]), sta_pos=tuple(b["sta_pos"])))
+            spec = cls(name=d["name"], seed=d["seed"], bss=bss,
+                       bonding=d["bonding"], duration_s=d["duration_s"],
+                       burn_in_s=d["burn_in_s"], trials=d["trials"],
+                       interval_s=d["interval_s"], area=tuple(d["area"]))
+        except KeyError as exc:
+            raise ValueError(f"scenario config lacks key {exc}") from None
         spec.validate()
         return spec
 

@@ -234,6 +234,30 @@ def test_cli_error_codes(tmp_path):
                      "--trials", "1"]) == 1    # no channel label
 
 
+def test_cli_partial_config_names_the_missing_key(tmp_path, capsys):
+    cfg = tmp_path / "partial.json"
+    cfg.write_text(json.dumps({"name": "x", "seed": 1, "bss": []}))
+    rc = cli.main(["run", "--config", str(cfg), "--algo", "none",
+                   "--channel", "2", "--out", str(tmp_path / "runs")])
+    assert rc == 1
+    assert "'bonding'" in capsys.readouterr().err
+
+
+def test_cli_interval_schedule_needs_three_legacy_bss(tmp_path, capsys):
+    # the load schedule underloads three distinct legacy APs; mp1 has none
+    spec = scenarios.build_scenario("mp1", seed=3)
+    spec.interval_s = 0.25
+    cfg = tmp_path / "mp1-intervals.json"
+    cfg.write_text(json.dumps(spec.to_dict()))
+    out = tmp_path / "runs"
+    rc = cli.main(["run", "--config", str(cfg), "--algo", "ucb",
+                   "--arch", "sa", "--trials", "1", "--duration", "0.5",
+                   "--out", str(out)])
+    assert rc == 1
+    assert "3 legacy" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_out_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("WLANSIM_OUT", str(tmp_path / "envruns"))
     rc = cli.main(["run", "--scenario", "sp1", "--algo", "none",
