@@ -102,6 +102,14 @@ def build_context(sensors, role, channels=None, primary=None):
     raise ValueError(f"unknown role {role!r}")
 
 
+def _argmax(scores, mask=None):
+    """Best-scoring arm among mask (all arms if None); the first in mask
+    order wins ties."""
+    if mask is None:
+        return int(np.argmax(scores))
+    return int(mask[np.argmax(scores[mask])])
+
+
 class UcbPolicy:
     """UCB over k arms: mean plus sqrt(alpha ln t / 2N) bonus.
 
@@ -119,18 +127,13 @@ class UcbPolicy:
         self.t = 0
 
     def select(self, x=None, mask=None):
-        idx = range(self.n_arms) if mask is None else mask
-        for a in idx:
-            if self.counts[a] == 0:
-                return a
+        # an unpulled arm scores +inf, so the first one in the mask wins
         log_t = math.log(self.t) if self.t > 1 else 0.0
-        best_arm, best_score = -1, -math.inf
-        for a in idx:
-            score = self.means[a] + math.sqrt(
-                self.alpha * log_t / (2.0 * self.counts[a]))
-            if score > best_score:
-                best_arm, best_score = a, score
-        return best_arm
+        pulled = self.counts > 0
+        scores = np.full(self.n_arms, np.inf)
+        scores[pulled] = self.means[pulled] + np.sqrt(
+            self.alpha * log_t / (2.0 * self.counts[pulled]))
+        return _argmax(scores, mask)
 
     def update(self, arm, x, reward):
         self.counts[arm] += 1
@@ -170,15 +173,7 @@ class LinUcbPolicy:
     def select(self, x, mask=None):
         if x.shape != (self.dim,):
             raise ValueError(f"context shape {x.shape}, expected ({self.dim},)")
-        scores = self.scores(x)
-        if mask is None:
-            return int(np.argmax(scores))
-        # argmax over the mask, lowest index on ties
-        best_arm, best_score = -1, -math.inf
-        for a in mask:
-            if scores[a] > best_score:
-                best_arm, best_score = a, scores[a]
-        return best_arm
+        return _argmax(self.scores(x), mask)
 
     def update(self, arm, x, reward):
         self.A[arm] += np.outer(x, x)
