@@ -12,7 +12,8 @@ within D_max and report the elapsed duration to their agent.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 
 from . import agents, engine
 from .engine import MS
@@ -25,6 +26,10 @@ CW_MAX = 1024
 RETRY_LIMIT = 7
 QUEUE_CAPACITY = 500
 D_MAX_NS = 10 * MS
+
+# every MPDU carries one fixed-size packet; an A-MPDU holds up to 43 of them
+PACKET_BYTES = 1500
+AMPDU_PACKETS = MAX_AMPDU_BYTES // PACKET_BYTES
 
 SCB = "scb"
 DCB = "dcb"
@@ -66,8 +71,6 @@ class CycleRecord:
     start: int
     end: int
     outcome: str
-    action_key: str = ""
-    bytes_acked: int = 0
 
     @property
     def duration_ms(self):
@@ -101,7 +104,7 @@ def beb_next_cw(cw, success):
 
 
 class TxQueue:
-    """Bounded FIFO of (packet id, generation ns, bytes) tuples."""
+    """Bounded FIFO of (packet id, generation ns) pairs."""
 
     def __init__(self, capacity=QUEUE_CAPACITY):
         self.capacity = capacity
@@ -123,16 +126,9 @@ class TxQueue:
                 self.items.extend(packets[:room])
             self.overflow_drops += len(packets) - max(room, 0)
 
-    def snapshot_head(self, max_bytes=MAX_AMPDU_BYTES):
-        """FIFO prefix fitting the A-MPDU budget; packets stay queued."""
-        out = []
-        total = 0
-        for pkt in self.items:
-            if out and total + pkt[2] > max_bytes:
-                break
-            out.append(pkt)
-            total += pkt[2]
-        return out
+    def snapshot_head(self):
+        """FIFO prefix of at most one A-MPDU; packets stay queued."""
+        return list(islice(self.items, AMPDU_PACKETS))
 
     def ack_head(self, n_head, acked_pids):
         """Drop the acked subset of the first n_head packets, keep the rest."""
@@ -153,7 +149,7 @@ class Bss:
     """
 
     def __init__(self, bss_id, sim, spectrum, config, metrics, rng_backoff,
-                 rng_per, mcs_by_width, agent=None, per=0.1, nss=2):
+                 rng_per, mcs_by_width, agent=None, per=0.1):
         config.validate()
         self.bss_id = bss_id
         self.sim = sim
@@ -164,7 +160,6 @@ class Bss:
         self.mcs_by_width = mcs_by_width
         self.agent = agent
         self.per = per
-        self.nss = nss
         self.ap_name = f"ap{bss_id}"
         self.sta_name = f"sta{bss_id}"
 
@@ -196,12 +191,10 @@ class Bss:
 
     # -- traffic entry points --
 
-    def make_packets(self, count, nbytes, now):
-        pkts = []
-        for _ in range(count):
-            pkts.append((self._next_pid, now, nbytes))
-            self._next_pid += 1
-        return pkts
+    def make_packets(self, count, now):
+        first = self._next_pid
+        self._next_pid += count
+        return [(pid, now) for pid in range(first, first + count)]
 
     def on_arrival(self, packets):
         self.queue.push(packets)
@@ -275,7 +268,7 @@ class Bss:
         busy = {c for c in self.channels
                 if c != self.primary and not self.spectrum.pifs_idle(c, now)}
         if self.bonding == SCB:
-            if busy:
+            if scb_defers(self.channels, self.primary, busy):
                 # all-or-nothing: give up this access, back off again
                 self._begin_contention(fresh=True)
                 return
@@ -323,20 +316,21 @@ class Bss:
             self.sim.schedule(now + SIFS, engine.FRAME_START, self.ap_name,
                               self._send_data)
 
-    def _data_airtime(self, nbytes):
+    def _data_airtime(self, n_packets):
         width = 20 * len(self.width_set)
-        key = (nbytes, width)
+        key = (n_packets, width)
         air = self._airtime_cache.get(key)
         if air is None:
-            air = frame_airtime(nbytes, self.mcs_by_width[width], width, self.nss)
+            air = frame_airtime(n_packets * PACKET_BYTES,
+                                self.mcs_by_width[width], width)
             self._airtime_cache[key] = air
         return air
 
     def _send_data(self):
         now = self.sim.now()
-        nbytes = sum(p[2] for p in self.snapshot)
-        tx = Transmission(self.bss_id, self.ap_name, DATA, self.width_set,
-                          now, now + self._data_airtime(nbytes), self.snapshot)
+        tx = Transmission(self.bss_id, self.ap_name, DATA, self.width_set, now,
+                          now + self._data_airtime(len(self.snapshot)),
+                          self.snapshot)
         self.spectrum.add(tx, now)
         self.sim.schedule(tx.end, engine.FRAME_END, self.ap_name,
                           self._data_end, tx)
@@ -352,16 +346,16 @@ class Bss:
         # STA side: per-MPDU error draws, first-delivery metrics, then BA
         draws = self.rng_per.random(len(self.snapshot))
         acked = []
-        new_bits = 0
-        for pkt, u in zip(self.snapshot, draws):
+        new = 0
+        for (pid, gen), u in zip(self.snapshot, draws):
             if u < self.per:
                 continue
-            acked.append(pkt[0])
-            if pkt[0] not in self._sta_seen:
-                self._sta_seen.add(pkt[0])
-                new_bits += pkt[2] * 8
-                self.metrics.record_delivery(pkt[1], now)
-        self.metrics.record_data_reception(now, new_bits)
+            acked.append(pid)
+            if pid not in self._sta_seen:
+                self._sta_seen.add(pid)
+                new += 1
+                self.metrics.record_delivery(gen, now)
+        self.metrics.record_data_reception(now, new * PACKET_BYTES * 8)
         self.sim.schedule(now + SIFS, engine.FRAME_START, self.sta_name,
                           self._send_ba, acked)
 
@@ -416,10 +410,8 @@ class Bss:
         if self.abort_ev is not None:
             self.sim.cancel(self.abort_ev)
             self.abort_ev = None
-        bytes_acked = 0
         released = 0
         if outcome == SUCCESS:
-            bytes_acked = sum(p[2] for p in self.snapshot if p[0] in acked_pids)
             released = len(acked_pids)
             self.queue.ack_head(len(self.snapshot), acked_pids)
             self._sta_seen.difference_update(acked_pids)
@@ -437,8 +429,7 @@ class Bss:
             self.agent.complete_cycle(reward)
             self.metrics.decisions.append(
                 (self.cycle_start, self._action_key, reward))
-        self.last_record = CycleRecord(self.cycle_start, now, outcome,
-                                       self._action_key, bytes_acked)
+        self.last_record = CycleRecord(self.cycle_start, now, outcome)
         self.snapshot = None
         self.state = IDLE
         if released and self.traffic is not None:

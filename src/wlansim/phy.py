@@ -114,8 +114,8 @@ def frame_airtime(payload_bytes, mcs, width, nss=2):
     return DATA_PREAMBLE + n_symbols * SYMBOL
 
 
-def control_airtime(nbytes):
-    bits = 16 + 8 * nbytes + 6
+def control_airtime(frame_bytes):
+    bits = 16 + 8 * frame_bytes + 6
     n_symbols = -(-bits // _CTRL_BITS_PER_SYMBOL)
     return _CTRL_PREAMBLE + n_symbols * _CTRL_SYMBOL
 

@@ -2,14 +2,13 @@
 
 Loads are fractions of the link's maximum theoretical goodput, an analytic
 zero-contention saturation bound, resolved to concrete bit rates before a
-run starts.  All generators push 1,500 B packets into the AP queue.
+run starts.  All generators push mac.PACKET_BYTES packets into the AP queue.
 """
 
 from . import phy
 from .engine import ARRIVAL, SEC
-from .mac import CW_MIN
+from .mac import AMPDU_PACKETS, CW_MIN, PACKET_BYTES
 
-PACKET_BYTES = 1500
 BURST_PACKETS = 64
 VR_FPS = 90
 
@@ -19,19 +18,18 @@ BURSTY = "bursty"
 VR = "vr"
 
 
-def max_theoretical_goodput(width, mcs=11, nss=2, packet_bytes=PACKET_BYTES):
+def max_theoretical_goodput(width):
     """Payload bits of a maximal A-MPDU over one uncontended cycle, in bps.
 
     The cycle is DIFS + mean CW-16 backoff + RTS/SIFS/CTS/SIFS + data +
-    SIFS + BA, with no errors and no contention.
+    SIFS + BA at MCS 11, with no errors and no contention.
     """
-    n_mpdu = phy.MAX_AMPDU_BYTES // packet_bytes
-    payload_bits = n_mpdu * packet_bytes * 8
-    data_air = phy.frame_airtime(n_mpdu * packet_bytes, mcs, width, nss)
+    payload_bytes = AMPDU_PACKETS * PACKET_BYTES
+    data_air = phy.frame_airtime(payload_bytes, 11, width)
     cycle_ns = (phy.DIFS + (CW_MIN - 1) / 2 * phy.SLOT + phy.RTS_AIRTIME
                 + phy.SIFS + phy.CTS_AIRTIME + phy.SIFS + data_air
                 + phy.SIFS + phy.BA_AIRTIME)
-    return payload_bits / (cycle_ns * 1e-9)
+    return payload_bytes * 8 / (cycle_ns * 1e-9)
 
 
 class FullBufferSource:
@@ -39,16 +37,15 @@ class FullBufferSource:
 
     kind = FULL_BUFFER
 
-    def __init__(self, bss, rng=None, packet_bytes=PACKET_BYTES):
+    def __init__(self, bss):
         self.bss = bss
-        self.packet_bytes = packet_bytes
 
     def start(self, sim):
         room = self.bss.queue.capacity - len(self.bss.queue)
-        self.bss.on_arrival(self.bss.make_packets(room, self.packet_bytes, sim.now()))
+        self.bss.on_arrival(self.bss.make_packets(room, sim.now()))
 
     def on_release(self, count, now):
-        self.bss.on_arrival(self.bss.make_packets(count, self.packet_bytes, now))
+        self.bss.on_arrival(self.bss.make_packets(count, now))
 
     def set_rate(self, rate_bps, sim):
         pass
@@ -57,11 +54,10 @@ class FullBufferSource:
 class _RatedSource:
     """Common machinery for event-driven generators with a settable rate."""
 
-    def __init__(self, bss, rng, rate_bps, packet_bytes=PACKET_BYTES):
+    def __init__(self, bss, rng, rate_bps):
         self.bss = bss
         self.rng = rng
         self.rate_bps = rate_bps
-        self.packet_bytes = packet_bytes
         self._ev = None
 
     def start(self, sim):
@@ -88,31 +84,21 @@ class _RatedSource:
         now = self._sim.now()
         n = self._batch_size()
         if n:
-            self.bss.on_arrival(self.bss.make_packets(n, self.packet_bytes, now))
+            self.bss.on_arrival(self.bss.make_packets(n, now))
         self._schedule_next()
 
 
 class PoissonSource(_RatedSource):
-    kind = POISSON
+    """Batches of burst packets at exponential gaps; plain Poisson is burst 1,
+    the bursty kind BURST_PACKETS."""
 
-    def _next_gap(self):
-        mean_ns = self.packet_bytes * 8 / self.rate_bps * SEC
-        return max(1, int(self.rng.exponential(mean_ns)))
-
-    def _batch_size(self):
-        return 1
-
-
-class BurstySource(_RatedSource):
-    kind = BURSTY
-
-    def __init__(self, bss, rng, rate_bps, packet_bytes=PACKET_BYTES,
-                 burst=BURST_PACKETS):
-        super().__init__(bss, rng, rate_bps, packet_bytes)
+    def __init__(self, bss, rng, rate_bps, burst=1):
+        super().__init__(bss, rng, rate_bps)
         self.burst = burst
+        self.kind = POISSON if burst == 1 else BURSTY
 
     def _next_gap(self):
-        mean_ns = self.burst * self.packet_bytes * 8 / self.rate_bps * SEC
+        mean_ns = self.burst * PACKET_BYTES * 8 / self.rate_bps * SEC
         return max(1, int(self.rng.exponential(mean_ns)))
 
     def _batch_size(self):
@@ -125,9 +111,8 @@ class VrSource(_RatedSource):
 
     kind = VR
 
-    def __init__(self, bss, rng, rate_bps, packet_bytes=PACKET_BYTES,
-                 fps=VR_FPS):
-        super().__init__(bss, rng, rate_bps, packet_bytes)
+    def __init__(self, bss, rng, rate_bps, fps=VR_FPS):
+        super().__init__(bss, rng, rate_bps)
         self.fps = fps
         self.frame_gap = round(SEC / fps)
         self._owed_bytes = 0.0
@@ -137,15 +122,17 @@ class VrSource(_RatedSource):
 
     def _batch_size(self):
         self._owed_bytes += self.rate_bps / 8.0 / self.fps
-        n = int(self._owed_bytes // self.packet_bytes)
-        self._owed_bytes -= n * self.packet_bytes
+        n = int(self._owed_bytes // PACKET_BYTES)
+        self._owed_bytes -= n * PACKET_BYTES
         return n
 
 
-def make_source(kind, bss, rng, rate_bps=None, packet_bytes=PACKET_BYTES):
+def make_source(kind, bss, rng, rate_bps=None):
     if kind == FULL_BUFFER:
-        return FullBufferSource(bss, rng, packet_bytes)
+        return FullBufferSource(bss)
     if rate_bps is None or rate_bps <= 0:
         raise ValueError(f"{kind} traffic needs a positive rate")
-    cls = {POISSON: PoissonSource, BURSTY: BurstySource, VR: VrSource}[kind]
-    return cls(bss, rng, rate_bps, packet_bytes)
+    if kind == VR:
+        return VrSource(bss, rng, rate_bps)
+    return PoissonSource(bss, rng, rate_bps,
+                         {POISSON: 1, BURSTY: BURST_PACKETS}[kind])

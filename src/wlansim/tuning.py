@@ -43,16 +43,14 @@ def mean_cycle_reward(spec, algo, arch, alpha):
 
 
 def tune(algo, arch, candidates=100, seed=0, bss_counts=BSS_COUNTS,
-         durations_s=DURATIONS_S, extra_alphas=()):
+         durations_s=DURATIONS_S):
     """Score random alpha candidates on the deployment grid.
 
     Returns leaderboard rows sorted by mean reward, best first.
-    extra_alphas lets a caller pin reference values into the comparison.
     """
     lo, hi = ALPHA_RANGE[algo]
     rng = rng_stream(seed, 0, 1, TUNING_STREAM)
     alphas = [float(rng.uniform(lo, hi)) for _ in range(candidates)]
-    alphas.extend(extra_alphas)
     grid = deployment_grid(seed, bss_counts, durations_s)
     rows = []
     for alpha in alphas:

@@ -114,5 +114,5 @@ def foreign_frame(sim, spectrum, channels, start, end, bss_id=99):
     return tx
 
 
-def offer_packets(bss, count, nbytes=1500, now=0):
-    bss.on_arrival(bss.make_packets(count, nbytes, now))
+def offer_packets(bss, count, now=0):
+    bss.on_arrival(bss.make_packets(count, now))

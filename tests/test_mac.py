@@ -14,9 +14,9 @@ from wlansim import mac
 from wlansim.agents import Action, compute_reward, make_controller
 from wlansim.engine import MS, US
 from wlansim.mac import (ABORTED, BA_TIMEOUT, CTS_TIMEOUT, CW_MAX, CW_MIN,
-                         DCB, DcfConfig, FAILURE, SCB, SUCCESS, TxQueue,
-                         beb_next_cw, dcb_transmit_set, legal_tx_sets,
-                         scb_defers)
+                         DCB, PACKET_BYTES, DcfConfig, FAILURE, SCB, SUCCESS,
+                         TxQueue, beb_next_cw, dcb_transmit_set,
+                         legal_tx_sets, scb_defers)
 from wlansim.phy import (BA_AIRTIME, BASIC_CHANNELS, CHANNEL_GROUPS,
                          CTS_AIRTIME, PIFS, SIFS, SLOT)
 from wlansim.traffic import FullBufferSource
@@ -126,7 +126,7 @@ def test_beb_doubling_and_reset():
 
 def test_queue_overflow_drops_at_tail():
     q = TxQueue(capacity=500)
-    q.push([(i, 0, 1500) for i in range(600)])
+    q.push([(i, 0) for i in range(600)])
     assert len(q) == 500
     assert q.overflow_drops == 100
     assert q.items[0][0] == 0 and q.items[-1][0] == 499
@@ -134,30 +134,22 @@ def test_queue_overflow_drops_at_tail():
 
 def test_snapshot_packs_43_full_packets():
     q = TxQueue()
-    q.push([(i, 0, 1500) for i in range(100)])
+    q.push([(i, 0) for i in range(100)])
     snap = q.snapshot_head()
     assert len(snap) == 43
-    assert sum(p[2] for p in snap) == 64_500
+    assert len(snap) * PACKET_BYTES == 64_500
     assert len(q) == 100  # snapshot does not dequeue
 
 
 def test_snapshot_single_packet():
     q = TxQueue()
-    q.push([(0, 0, 1500)])
-    assert q.snapshot_head() == [(0, 0, 1500)]
-
-
-def test_snapshot_budget_boundary():
-    q = TxQueue()
-    q.push([(i, 0, 2000) for i in range(40)])
-    snap = q.snapshot_head()
-    assert len(snap) == 32          # 32*2000 = 64000 <= 65535 < 66000
-    assert q.snapshot_head(max_bytes=100)  # first packet always included
+    q.push([(0, 0)])
+    assert q.snapshot_head() == [(0, 0)]
 
 
 def test_ack_head_keeps_unacked_in_order():
     q = TxQueue()
-    q.push([(i, 0, 1500) for i in range(5)])
+    q.push([(i, 0) for i in range(5)])
     q.ack_head(3, {0, 2})
     assert [p[0] for p in q.items] == [1, 3, 4]
     q.drop_head(1)

@@ -6,10 +6,9 @@ from conftest import MCS_TOP
 from wlansim import mac, metrics, phy
 from wlansim.engine import (BACKOFF_STREAM, MS, PER_STREAM, SEC, Scheduler,
                             TRAFFIC_STREAM, rng_stream)
-from wlansim.mac import DcfConfig, TxQueue
-from wlansim.traffic import (BURST_PACKETS, BurstySource, FullBufferSource,
-                             PoissonSource, VrSource, make_source,
-                             max_theoretical_goodput)
+from wlansim.mac import PACKET_BYTES, DcfConfig, TxQueue
+from wlansim.traffic import (BURST_PACKETS, FullBufferSource, PoissonSource,
+                             VrSource, make_source, max_theoretical_goodput)
 
 
 class SinkBss:
@@ -22,14 +21,17 @@ class SinkBss:
         self.batches = []
         self._pid = 0
 
-    def make_packets(self, n, nbytes, now):
-        out = [(self._pid + i, now, nbytes) for i in range(n)]
+    def make_packets(self, n, now):
+        out = [(self._pid + i, now) for i in range(n)]
         self._pid += n
         return out
 
     def on_arrival(self, packets):
         self.batches.append(list(packets))
         self.queue.push(packets)
+
+    def offered_bytes(self):
+        return sum(len(batch) for batch in self.batches) * PACKET_BYTES
 
 
 def test_saturation_bound_frozen_values():
@@ -84,7 +86,7 @@ def test_vr_long_run_bytes_exact():
     src = VrSource(sink, rng=None, rate_bps=50_000_000)
     src.start(sim)
     sim.run_until(10 * SEC)
-    total = sum(p[2] for batch in sink.batches for p in batch)
+    total = sink.offered_bytes()
     offered = 50_000_000 / 8 * (900 / 90)
     # the fractional-byte accumulator keeps the remainder under one packet
     assert abs(total - offered) < 1500
@@ -105,7 +107,7 @@ def test_poisson_offered_load():
                         rate_bps=12_000_000)
     src.start(sim)
     sim.run_until(30 * SEC)
-    total_bits = sum(p[2] * 8 for batch in sink.batches for p in batch)
+    total_bits = sink.offered_bytes() * 8
     assert all(len(batch) == 1 for batch in sink.batches)
     assert total_bits / 30 == pytest.approx(12_000_000, rel=0.02)
 
@@ -113,12 +115,12 @@ def test_poisson_offered_load():
 def test_bursty_batches_and_offered_load():
     sink = SinkBss()
     sim = Scheduler()
-    src = BurstySource(sink, rng_stream(9, 0, 2, TRAFFIC_STREAM),
-                       rate_bps=64_000_000)
+    src = PoissonSource(sink, rng_stream(9, 0, 2, TRAFFIC_STREAM),
+                        rate_bps=64_000_000, burst=BURST_PACKETS)
     src.start(sim)
     sim.run_until(30 * SEC)
     assert all(len(batch) == BURST_PACKETS for batch in sink.batches)
-    total_bits = sum(p[2] * 8 for batch in sink.batches for p in batch)
+    total_bits = sink.offered_bytes() * 8
     assert total_bits / 30 == pytest.approx(64_000_000, rel=0.06)
 
 
@@ -141,7 +143,7 @@ def test_set_rate_replaces_pending_arrival():
     src.start(sim)
     src.set_rate(96_000_000, sim)
     sim.run_until(1 * SEC)
-    total_bits = sum(p[2] * 8 for batch in sink.batches for p in batch)
+    total_bits = sink.offered_bytes() * 8
     # the stale slow-rate arrival must not survive the rate change
     assert total_bits == pytest.approx(96_000_000, rel=0.1)
 
@@ -149,9 +151,14 @@ def test_set_rate_replaces_pending_arrival():
 def test_make_source_dispatch():
     sink = SinkBss()
     assert isinstance(make_source("full_buffer", sink, None), FullBufferSource)
-    assert isinstance(make_source("poisson", sink, None, 1e6), PoissonSource)
-    assert isinstance(make_source("bursty", sink, None, 1e6), BurstySource)
-    assert isinstance(make_source("vr", sink, None, 1e6), VrSource)
+    poisson = make_source("poisson", sink, None, 1e6)
+    assert isinstance(poisson, PoissonSource)
+    assert (poisson.kind, poisson.burst) == ("poisson", 1)
+    bursty = make_source("bursty", sink, None, 1e6)
+    assert isinstance(bursty, PoissonSource)
+    assert (bursty.kind, bursty.burst) == ("bursty", BURST_PACKETS)
+    vr = make_source("vr", sink, None, 1e6)
+    assert isinstance(vr, VrSource) and vr.kind == "vr"
     with pytest.raises(ValueError):
         make_source("poisson", sink, None)
     with pytest.raises(ValueError):
