@@ -3,9 +3,13 @@
 Every scenario x method runs one 1 s trial with the decision log on.  sp1,
 sp2 and mp1 cover full-buffer learning APs; mp2 and mp3 add learning APs fed
 by VR, bursty and Poisson arrivals (seed 1, trial 0), and mp3 adds 80 MHz
-legacy APs.  The burn-in is cut to 0.2 s, so the goodput, delay and
-selection windows are not empty, and sp2's load intervals to 0.25 s, so all
-four of them play out.
+legacy APs.  Three more cases cover arrival-driven legacy APs: sp2 with
+every legacy AP pinned to Poisson under DCB bonding (the benchmark's
+sp2-static-dcb workload), and tuning-deployment seeds 3 and 5, whose legacy
+APs include a Poisson (0.43 load) and a bursty (0.32 load) source light
+enough to drain their queues and go idle again and again.  The burn-in is
+cut to 0.2 s, so the goodput, delay and selection windows are not empty,
+and sp2's load intervals to 0.25 s, so all four of them play out.
 A change that means to alter trial output updates these digests and says
 why; a refactor leaves them as they are.
 """
@@ -24,6 +28,7 @@ METHODS = {
     "linucb-sa": dict(algo="linucb", arch="sa"),
     "linucb-ma": dict(algo="linucb", arch="ma"),
     "static-ch7": dict(algo="none", static_channel=7),
+    "static-ch7-dcb": dict(algo="none", static_channel=7, bonding="dcb"),
 }
 
 GOLDEN = {
@@ -52,11 +57,28 @@ GOLDEN = {
     ("mp3", "linucb-sa"): "890ddabc558996a75ebf1ef0e39fbb268a8c7f4df24461842cd751b2afc5db1a",
     ("mp3", "linucb-ma"): "66ea3d24daedcc1832881009157597f9ca650d2f444f565939deee455159c572",
     ("mp3", "static-ch7"): "7aad4fd08f469a41a532f8892d92dabc4e92a30922172ba840ed9814acb8f7ee",
+    ("sp2-poisson", "static-ch7-dcb"): "248e0f6dc821ed477e3eb9ea08009b5d617faf28293c2495a202f4dfa739fa83",
+    ("tuning-deployment@3", "ucb-sa"): "b29fab707f2a77626421d5e48f766380226775d2a4b7628e6bbe8477b82adca5",
+    ("tuning-deployment@5", "linucb-ma"): "44aabf72717a3eb3ce2ad4c25660d779022f3e15c07aaf46592492194c0d1f76",
 }
 
 
+def _spec(scenario):
+    """A catalog scenario at seed 1; "name@seed" picks another seed, and
+    "sp2-poisson" pins every sp2 legacy AP to Poisson arrivals."""
+    name, _, seed = scenario.partition("@")
+    poisson = name == "sp2-poisson"
+    spec = scenarios.build_scenario("sp2" if poisson else name,
+                                    int(seed or 1))
+    if poisson:
+        for b in spec.bss:
+            if b.role == scenarios.LEGACY:
+                b.traffic = replace(b.traffic, kind="poisson")
+    return spec
+
+
 def _digest(scenario, method):
-    spec = scenarios.build_scenario(scenario, 1)
+    spec = _spec(scenario)
     spec = replace(spec, burn_in_s=0.2,
                    interval_s=0.25 if spec.interval_s else None)
     params = RunParams(duration_s=1.0, decision_log=True, **METHODS[method])
