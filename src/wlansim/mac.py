@@ -191,10 +191,11 @@ class Bss:
 
     # -- traffic entry points --
 
-    def make_packets(self, count, now):
+    def make_packets(self, gen_times):
+        """One fresh packet per generation time."""
         first = self._next_pid
-        self._next_pid += count
-        return [(pid, now) for pid in range(first, first + count)]
+        self._next_pid += len(gen_times)
+        return list(zip(range(first, self._next_pid), gen_times))
 
     def on_arrival(self, packets):
         self.queue.push(packets)
@@ -407,6 +408,8 @@ class Bss:
 
     def _finish_cycle(self, outcome, acked_pids):
         now = self.sim.now()
+        if self.traffic is not None:
+            self.traffic.flush()   # arrivals due by now join the queue first
         if self.abort_ev is not None:
             self.sim.cancel(self.abort_ev)
             self.abort_ev = None
@@ -435,6 +438,8 @@ class Bss:
         if released and self.traffic is not None:
             self.traffic.on_release(released, now)
         self.start_cycle()
+        if self.state == IDLE and self.traffic is not None:
+            self.traffic.on_idle()
 
 
 class SensorView:

@@ -169,6 +169,8 @@ def run_trial(spec, params, trial, trace_file=None):
             sim.schedule(k * iv, INTERVAL, "schedule", apply_interval, k)
 
     sim.run_until(duration)
+    for bss in bss_objs.values():
+        bss.traffic.flush()    # arrivals held back up to the last instant
     return _trial_records(spec, params, trial, bonding, duration, burn_in,
                           bss_objs, assign, schedule)
 

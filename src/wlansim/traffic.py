@@ -3,14 +3,20 @@
 Loads are fractions of the link's maximum theoretical goodput, an analytic
 zero-contention saturation bound, resolved to concrete bit rates before a
 run starts.  All generators push mac.PACKET_BYTES packets into the AP queue.
+
+Poisson and bursty arrivals to a busy AP are not events: the AP can only
+see them when it reads its queue, so the source pushes the ones due just
+before each read (flush) and turns the next one back into an event when the
+AP goes idle (on_idle).
 """
 
 from . import phy
-from .engine import ARRIVAL, SEC
-from .mac import AMPDU_PACKETS, CW_MIN, PACKET_BYTES
+from .engine import ARRIVAL, SEC, LazyStream
+from .mac import AMPDU_PACKETS, CW_MIN, IDLE, PACKET_BYTES
 
 BURST_PACKETS = 64
 VR_FPS = 90
+GAP_BLOCK = 1024   # exponential gaps drawn per rng call
 
 FULL_BUFFER = "full_buffer"
 POISSON = "poisson"
@@ -32,7 +38,25 @@ def max_theoretical_goodput(width):
     return payload_bytes * 8 / (cycle_ns * 1e-9)
 
 
-class FullBufferSource:
+class _Source:
+    """The hooks an AP calls on its source.  flush() runs before the AP
+    reads or trims its queue and on_idle() when the queue has run dry; only
+    a source that holds arrivals back acts on them."""
+
+    def on_release(self, count, now):
+        pass
+
+    def set_rate(self, rate_bps, sim):
+        pass
+
+    def flush(self):
+        pass
+
+    def on_idle(self):
+        pass
+
+
+class FullBufferSource(_Source):
     """Keeps the queue pinned at capacity; no arrival events needed."""
 
     kind = FULL_BUFFER
@@ -42,16 +66,13 @@ class FullBufferSource:
 
     def start(self, sim):
         room = self.bss.queue.capacity - len(self.bss.queue)
-        self.bss.on_arrival(self.bss.make_packets(room, sim.now()))
+        self.bss.on_arrival(self.bss.make_packets([sim.now()] * room))
 
     def on_release(self, count, now):
-        self.bss.on_arrival(self.bss.make_packets(count, now))
-
-    def set_rate(self, rate_bps, sim):
-        pass
+        self.bss.on_arrival(self.bss.make_packets([now] * count))
 
 
-class _RatedSource:
+class _RatedSource(_Source):
     """Common machinery for event-driven generators with a settable rate."""
 
     def __init__(self, bss, rng, rate_bps):
@@ -63,9 +84,6 @@ class _RatedSource:
     def start(self, sim):
         self._sim = sim
         self._schedule_next()
-
-    def on_release(self, count, now):
-        pass
 
     def set_rate(self, rate_bps, sim):
         # forget the pending arrival; the new rate takes over from now
@@ -84,22 +102,59 @@ class _RatedSource:
         now = self._sim.now()
         n = self._batch_size()
         if n:
-            self.bss.on_arrival(self.bss.make_packets(n, now))
+            self.bss.on_arrival(self.bss.make_packets([now] * n))
         self._schedule_next()
 
 
 class PoissonSource(_RatedSource):
     """Batches of burst packets at exponential gaps; plain Poisson is burst 1,
-    the bursty kind BURST_PACKETS."""
+    the bursty kind BURST_PACKETS.
+
+    Only an arrival to an idle AP is an event; the rest wait in a LazyStream
+    until the AP reads its queue.
+    """
 
     def __init__(self, bss, rng, rate_bps, burst=1):
         super().__init__(bss, rng, rate_bps)
         self.burst = burst
         self.kind = POISSON if burst == 1 else BURSTY
+        self._gaps = iter(())
+
+    def start(self, sim):
+        self._lazy = LazyStream(sim)
+        super().start(sim)
+
+    def set_rate(self, rate_bps, sim):
+        self.flush()
+        self._lazy.drop()
+        super().set_rate(rate_bps, sim)
+
+    def _schedule_next(self):
+        if self.bss.state == IDLE:
+            super()._schedule_next()
+        else:
+            self._lazy.defer(self._sim.now() + self._next_gap())
+
+    def flush(self):
+        times = self._lazy.run_due(self._next_gap)
+        if times:
+            if self.burst > 1:
+                times = [t for t in times for _ in range(self.burst)]
+            self.bss.queue.push(self.bss.make_packets(times))
+
+    def on_idle(self):
+        if self._lazy.time is not None:
+            self._ev = self._lazy.wake(ARRIVAL, self.bss.ap_name,
+                                       self._arrive)
 
     def _next_gap(self):
-        mean_ns = self.burst * PACKET_BYTES * 8 / self.rate_bps * SEC
-        return max(1, int(self.rng.exponential(mean_ns)))
+        # block draws give the same doubles as one exponential(mean) per call
+        e = next(self._gaps, None)
+        if e is None:
+            self._gaps = iter(self.rng.standard_exponential(GAP_BLOCK).tolist())
+            e = next(self._gaps)
+        gap = int(self.burst * PACKET_BYTES * 8 / self.rate_bps * SEC * e)
+        return gap if gap > 0 else 1
 
     def _batch_size(self):
         return self.burst

@@ -115,4 +115,4 @@ def foreign_frame(sim, spectrum, channels, start, end, bss_id=99):
 
 
 def offer_packets(bss, count, now=0):
-    bss.on_arrival(bss.make_packets(count, now))
+    bss.on_arrival(bss.make_packets([now] * count))

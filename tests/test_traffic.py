@@ -12,18 +12,20 @@ from wlansim.traffic import (BURST_PACKETS, FullBufferSource, PoissonSource,
 
 
 class SinkBss:
-    """Just enough of the AP surface for a source to feed."""
+    """Just enough of the AP surface for a source to feed.  It never starts
+    a cycle, so it stays idle and every arrival stays an event."""
 
     ap_name = "ap0"
+    state = mac.IDLE
 
     def __init__(self):
         self.queue = TxQueue()
         self.batches = []
         self._pid = 0
 
-    def make_packets(self, n, now):
-        out = [(self._pid + i, now) for i in range(n)]
-        self._pid += n
+    def make_packets(self, gen_times):
+        out = [(self._pid + i, t) for i, t in enumerate(gen_times)]
+        self._pid += len(out)
         return out
 
     def on_arrival(self, packets):
