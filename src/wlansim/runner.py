@@ -102,7 +102,8 @@ def _trial_assignments(spec, trial):
 
 
 def _duration_ns(spec, params):
-    """Effective trial duration; it may not outrun the load schedule."""
+    """Effective trial duration; under a load schedule it must outlast the
+    burn-in and may not outrun the schedule."""
     duration = int(round((params.duration_s or spec.duration_s) * SEC))
     if spec.interval_s:
         iv = int(round(spec.interval_s * SEC))
@@ -110,6 +111,11 @@ def _duration_ns(spec, params):
             raise ValueError(
                 f"duration {duration / SEC:g} s exceeds the {N_INTERVALS} "
                 f"load intervals of {spec.interval_s:g} s")
+        if duration <= int(round(spec.burn_in_s * SEC)):
+            # the goodput window would be empty, the first interval inverted
+            raise ValueError(
+                f"duration {duration / SEC:g} s does not outlast the "
+                f"burn-in of {spec.burn_in_s:g} s")
     return duration
 
 

@@ -7,7 +7,7 @@ trial) with rejection sampling until every AP-STA link supports MCS 11 at
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 from . import phy
 from .engine import PLACEMENT_STREAM, rng_stream
@@ -34,6 +34,18 @@ class TrafficSpec:
             raise ValueError(f"{self.kind} traffic needs a load")
         if self.width_ref_mhz not in (20, 40, 80):
             raise ValueError(f"bad reference width {self.width_ref_mhz}")
+
+
+TRAFFIC_KEYS = {f.name for f in fields(TrafficSpec)}
+
+
+def _position(b, key):
+    pos = b[key]
+    if (not isinstance(pos, (list, tuple)) or len(pos) != len(AREA)
+            or not all(isinstance(c, (int, float)) for c in pos)):
+        raise ValueError(f"BSS {b['bss_id']} {key} must be a list of "
+                         f"{len(AREA)} coordinates, got {pos!r}")
+    return tuple(pos)
 
 
 @dataclass
@@ -101,6 +113,10 @@ class ScenarioSpec:
         try:
             bss = []
             for b in d["bss"]:
+                unknown = set(b["traffic"]) - TRAFFIC_KEYS
+                if unknown:
+                    raise ValueError(f"BSS {b['bss_id']} has unknown traffic "
+                                     f"key {sorted(unknown)[0]!r}")
                 t = TrafficSpec(**b["traffic"])
                 load = t.load
                 if isinstance(load, list):
@@ -108,8 +124,8 @@ class ScenarioSpec:
                 bss.append(BssSpec(
                     bss_id=b["bss_id"], role=b["role"], traffic=t,
                     channels=tuple(b["channels"]) if b["channels"] else None,
-                    primary=b["primary"],
-                    ap_pos=tuple(b["ap_pos"]), sta_pos=tuple(b["sta_pos"])))
+                    primary=b["primary"], ap_pos=_position(b, "ap_pos"),
+                    sta_pos=_position(b, "sta_pos")))
             spec = cls(name=d["name"], seed=d["seed"], bss=bss,
                        bonding=d["bonding"], duration_s=d["duration_s"],
                        burn_in_s=d["burn_in_s"], trials=d["trials"],

@@ -258,6 +258,40 @@ def test_cli_interval_schedule_needs_three_legacy_bss(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_duration_within_the_burn_in_fails_fast(tmp_path, capsys):
+    # 1 s of sp2 under the 2 s burn-in used to report goodput 0.0 and an
+    # interval window [2.0, 0.25] that ends before it starts
+    spec = scenarios.build_scenario("sp2", seed=3)
+    spec.interval_s = 0.25
+    cfg = tmp_path / "sp2-short.json"
+    cfg.write_text(json.dumps(spec.to_dict()))
+    out = tmp_path / "runs"
+    rc = cli.main(["run", "--config", str(cfg), "--algo", "none",
+                   "--channel", "2", "--trials", "1", "--duration", "1",
+                   "--out", str(out)])
+    assert rc == 1
+    assert "burn-in of 2 s" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("ap_pos", None, "ap_pos"),
+    ("traffic", {"kind": "full_buffer", "rate": 3}, "'rate'"),
+])
+def test_cli_malformed_bss_fields_are_named(tmp_path, capsys, field, value,
+                                             message):
+    d = scenarios.build_scenario("sp1", seed=3).to_dict()
+    d["bss"][0][field] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(d))
+    rc = cli.main(["run", "--config", str(cfg), "--algo", "none",
+                   "--channel", "2", "--trials", "1", "--duration", "0.1",
+                   "--out", str(tmp_path / "runs")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert message in err and "BSS 1" in err
+
+
 def test_cli_out_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("WLANSIM_OUT", str(tmp_path / "envruns"))
     rc = cli.main(["run", "--scenario", "sp1", "--algo", "none",
