@@ -151,7 +151,8 @@ class PoissonSource(_RatedSource):
         # block draws give the same doubles as one exponential(mean) per call
         e = next(self._gaps, None)
         if e is None:
-            self._gaps = iter(self.rng.standard_exponential(GAP_BLOCK).tolist())
+            block = self.rng.standard_exponential(GAP_BLOCK)
+            self._gaps = iter(block.tolist())
             e = next(self._gaps)
         gap = int(self.burst * PACKET_BYTES * 8 / self.rate_bps * SEC * e)
         return gap if gap > 0 else 1

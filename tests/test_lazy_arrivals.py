@@ -3,7 +3,9 @@
 A busy AP's Poisson and bursty arrivals are not events; they reach its queue
 when it next reads it.  These trials must still be byte-identical to ones
 where every arrival is an event (tests/eager.py), also under gap scripts
-that put arrivals on the same nanosecond as MAC events.  And every packet
+that put arrivals on the same nanosecond as MAC events (the lattice and DCF
+scripts) or as each other (the periodic script, under which APs that go
+idle wake arrivals in front of events already queued).  And every packet
 a lazily fed AP was given must be accounted for at the end of a trial.
 """
 
@@ -157,10 +159,11 @@ def test_lazily_fed_aps_conserve_packets(seed, legacy, learner_kind, channel,
     layout = [scenarios.BssSpec(1, scenarios.LEARNING, learner)]
     for i, (kind, load, g) in enumerate(legacy):
         group = phy.CHANNEL_GROUPS[g]
+        if kind == "full_buffer":
+            load = None
         layout.append(scenarios.BssSpec(
             2 + i, scenarios.LEGACY,
-            scenarios.TrafficSpec(kind, None if kind == "full_buffer" else load,
-                                  20 * len(group)),
+            scenarios.TrafficSpec(kind, load, 20 * len(group)),
             channels=group, primary=group[0]))
     spec = scenarios.ScenarioSpec("conservation", seed, layout,
                                   duration_s=duration_s, burn_in_s=0.0)
