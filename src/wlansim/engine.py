@@ -49,7 +49,7 @@ class Event:
 
     origin is (parent time, parent seq, order): the key of the event that
     scheduled it and the scheduler's count at that moment.  seq equals order
-    unless the event was renumbered behind a woken lazy occurrence.
+    unless the event is a woken lazy occurrence or was renumbered behind one.
     """
 
     __slots__ = ("fire_at", "seq", "kind", "node", "fn", "args", "cancelled",

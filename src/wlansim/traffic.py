@@ -39,9 +39,9 @@ def max_theoretical_goodput(width):
 
 
 class _Source:
-    """The hooks an AP calls on its source.  flush() runs before the AP
-    reads or trims its queue and on_idle() when the queue has run dry; only
-    a source that holds arrivals back acts on them."""
+    """What the AP and the load schedule call on a source.  The AP calls
+    flush() before it reads or trims its queue and on_idle() when the queue
+    has run dry; only a source that holds arrivals back acts on them."""
 
     def on_release(self, count, now):
         pass
