@@ -5,13 +5,14 @@ zero-contention saturation bound, resolved to concrete bit rates before a
 run starts.  All generators push mac.PACKET_BYTES packets into the AP queue.
 
 Poisson and bursty arrivals to a busy AP are not events: the AP can only
-see them when it reads its queue, so the source pushes the ones due just
-before each read (flush) and turns the next one back into an event when the
-AP goes idle (on_idle).
+see them when it reads its queue, so the source pushes the ones due by each
+read (flush) and turns the next one back into an event when the AP goes idle
+(on_idle).  As the engine runs the arrivals of a nanosecond before its other
+events, "due by a read at now" is simply "at or before now".
 """
 
 from . import phy
-from .engine import ARRIVAL, SEC, LazyStream
+from .engine import ARRIVAL, SEC
 from .mac import AMPDU_PACKETS, CW_MIN, IDLE, PACKET_BYTES
 
 BURST_PACKETS = 64
@@ -86,16 +87,20 @@ class _RatedSource(_Source):
         self._schedule_next()
 
     def set_rate(self, rate_bps, sim):
-        # forget the pending arrival; the new rate takes over from now
+        # arrivals due by now keep the old rate; the pending one is
+        # forgotten and the new rate takes over from now
+        self.flush()
         self.rate_bps = rate_bps
         if self._ev is not None:
             sim.cancel(self._ev)
         self._schedule_next()
 
     def _schedule_next(self):
-        self._ev = self._sim.schedule(
-            self._sim.now() + self._next_gap(), ARRIVAL, self.bss.ap_name,
-            self._arrive)
+        self._arrive_at(self._sim.now() + self._next_gap())
+
+    def _arrive_at(self, t):
+        self._ev = self._sim.schedule(t, ARRIVAL, self.bss.ap_name,
+                                      self._arrive, bss_id=self.bss.bss_id)
 
     def _arrive(self):
         self._ev = None
@@ -110,8 +115,8 @@ class PoissonSource(_RatedSource):
     """Batches of burst packets at exponential gaps; plain Poisson is burst 1,
     the bursty kind BURST_PACKETS.
 
-    Only an arrival to an idle AP is an event; the rest wait in a LazyStream
-    until the AP reads its queue.
+    Only an arrival to an idle AP is an event; while the AP is busy, the
+    next one waits as a time until the AP reads its queue.
     """
 
     def __init__(self, bss, rng, rate_bps, burst=1):
@@ -119,33 +124,32 @@ class PoissonSource(_RatedSource):
         self.burst = burst
         self.kind = POISSON if burst == 1 else BURSTY
         self._gaps = iter(())
-
-    def start(self, sim):
-        self._lazy = LazyStream(sim)
-        super().start(sim)
-
-    def set_rate(self, rate_bps, sim):
-        self.flush()
-        self._lazy.drop()
-        super().set_rate(rate_bps, sim)
+        self._due = None   # the next arrival while it is not an event
 
     def _schedule_next(self):
+        t = self._sim.now() + self._next_gap()
         if self.bss.state == IDLE:
-            super()._schedule_next()
+            self._arrive_at(t)
         else:
-            self._lazy.defer(self._sim.now() + self._next_gap())
+            self._due = t
 
     def flush(self):
-        times = self._lazy.run_due(self._next_gap)
+        t = self._due
+        if t is None:
+            return
+        now = self._sim.now()
+        times = []
+        while t <= now:
+            times += [t] * self.burst
+            t += self._next_gap()
+        self._due = t
         if times:
-            if self.burst > 1:
-                times = [t for t in times for _ in range(self.burst)]
             self.bss.queue.push(self.bss.make_packets(times))
 
     def on_idle(self):
-        if self._lazy.time is not None:
-            self._ev = self._lazy.wake(ARRIVAL, self.bss.ap_name,
-                                       self._arrive)
+        if self._due is not None:
+            self._arrive_at(self._due)
+            self._due = None
 
     def _next_gap(self):
         # block draws give the same doubles as one exponential(mean) per call

@@ -35,7 +35,7 @@ class EagerPoissonSource(traffic._Source):
     def _schedule_next(self):
         self._ev = self._sim.schedule(
             self._sim.now() + self._next_gap(), ARRIVAL, self.bss.ap_name,
-            self._arrive)
+            self._arrive, bss_id=self.bss.bss_id)
 
     def _arrive(self):
         self._ev = None

@@ -1,10 +1,11 @@
 """Event kernel: ordering, cancellation, clock advance, seeded streams."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from wlansim.engine import (RING_SLOTS, SEC, LazyStream, Scheduler, TIMER,
-                            rng_stream)
+from wlansim.engine import ARRIVAL, SEC, Scheduler, TIMER, rng_stream
 
 
 def _collect(sim, log, tag):
@@ -147,100 +148,59 @@ def test_rng_stream_keyed_reproducibly():
         assert not np.array_equal(a, c)
 
 
-# -- lazy streams: same-nanosecond order as if every occurrence were an event --
+# -- arrivals first at a tie --
 
-def _flush(stream):
-    """Run the due occurrences, each scheduling the next one 5 ns later."""
-    return stream.run_due(lambda: 5)
-
-
-def _read_at(sim, stream, t, log):
-    sim.schedule(t, TIMER, "r", lambda: log.append(_flush(stream)))
+def _arrival(sim, t, bss_id, log):
+    return sim.schedule(t, ARRIVAL, f"ap{bss_id}", log.append, bss_id,
+                        bss_id=bss_id)
 
 
-@pytest.mark.parametrize("defer_at,read_scheduled_at,first", [
-    (10, 15, True),     # the occurrence was scheduled first: it runs first
-    (15, 10, False),    # the read was scheduled first: the occurrence waits
-])
-def test_lazy_tie_depth_one(defer_at, read_scheduled_at, first):
+@pytest.mark.parametrize("arrival_scheduled_first", [True, False])
+def test_arrival_runs_first_at_a_tie(arrival_scheduled_first):
     sim = Scheduler()
-    stream = LazyStream(sim)
     log = []
-    sim.schedule(defer_at, TIMER, "a", stream.defer, 20)
-    sim.schedule(read_scheduled_at, TIMER, "b", _read_at, sim, stream, 20, log)
+    if arrival_scheduled_first:
+        _arrival(sim, 20, 1, log)
+    sim.schedule(20, TIMER, "n", log.append, "timer")
+    if not arrival_scheduled_first:
+        _arrival(sim, 20, 1, log)
     sim.run_until(30)
-    assert log == [[20] if first else []]
+    assert log == [1, "timer"]
 
 
-@pytest.mark.parametrize("defer_first", [True, False])
-def test_lazy_tie_under_one_scheduler_follows_its_order(defer_first):
+@pytest.mark.parametrize("order", list(itertools.permutations((1, 2, 3))))
+def test_same_nanosecond_arrivals_run_in_bss_order(order):
+    # two arrivals are scheduled up front, in the given order; the third is
+    # woken at 10 by an event
     sim = Scheduler()
-    stream = LazyStream(sim)
     log = []
-
-    def both():
-        if defer_first:
-            stream.defer(20)
-            _read_at(sim, stream, 20, log)
-        else:
-            _read_at(sim, stream, 20, log)
-            stream.defer(20)
-
-    sim.schedule(10, TIMER, "a", both)
+    first, second, woken = order
+    _arrival(sim, 20, first, log)
+    _arrival(sim, 20, second, log)
+    sim.schedule(10, TIMER, "w", _arrival, sim, 20, woken, log)
     sim.run_until(30)
-    assert log == [[20] if defer_first else []]
+    assert log == [1, 2, 3]
 
 
-@pytest.mark.parametrize("defer_at,other_at,first", [(5, 8, True),
-                                                     (8, 5, False)])
-def test_lazy_tie_depth_two(defer_at, other_at, first):
-    # occurrence 15 schedules occurrence 20; event B at 15 schedules the read
-    # at 20.  Both schedulers ran at 15, so their own schedulers decide.
+def test_woken_arrival_runs_ahead_of_queued_events():
     sim = Scheduler()
-    stream = LazyStream(sim)
     log = []
-    sim.schedule(defer_at, TIMER, "a", stream.defer, 15)
-    sim.schedule(other_at, TIMER, "c", lambda: sim.schedule(
-        15, TIMER, "b", _read_at, sim, stream, 20, log))
+    sim.schedule(20, TIMER, "x", log.append, "x")
+    sim.schedule(15, TIMER, "w", _arrival, sim, 20, 2, log)
+    sim.schedule(17, TIMER, "y", sim.schedule, 20, TIMER, "y", log.append,
+                 "y")
     sim.run_until(30)
-    assert log == [[15, 20] if first else [15]]
+    assert log == [2, "x", "y"]
 
 
-def test_woken_occurrence_renumbers_later_events():
-    # occurrence 15 runs lazily and schedules occurrence 20.  X (scheduled
-    # before 15) runs before it and Y (scheduled at 17) after, as on a heap.
+def test_cancelled_arrival_and_its_replacement_share_a_nanosecond():
     sim = Scheduler()
-    stream = LazyStream(sim)
-    order = []
-    sim.schedule(5, TIMER, "a", stream.defer, 15)
-    sim.schedule(20, TIMER, "x", order.append, "x")
-    handles = {}
-
-    def read_then_schedule_y():
-        assert _flush(stream) == [15]
-        handles["y"] = sim.schedule(20, TIMER, "y", order.append, "y")
-
-    def wake():
-        handles["w"] = stream.wake(TIMER, "w", order.append, "w")
-
-    sim.schedule(17, TIMER, "r", read_then_schedule_y)
-    sim.schedule(18, TIMER, "i", wake)
-    sim.run_until(30)
-    assert order == ["x", "w", "y"]
-    y = handles["y"]
-    _, _, y_order = y.origin
-    assert isinstance(y.seq, int) and y.seq > handles["w"].seq > y_order
-    # Y keeps its history entry under its new seq
-    assert sim._origin(y.seq) == y.origin
-
-
-def test_lazy_tie_past_the_history_raises():
-    sim = Scheduler()
-    stream = LazyStream(sim)
     log = []
-    sim.schedule(15, TIMER, "b", _read_at, sim, stream, 20, log)
-    sim.schedule(5, TIMER, "a", stream.defer, 15)
-    for _ in range(RING_SLOTS):
-        sim.schedule(1, TIMER, "n", lambda: None)
-    with pytest.raises(RuntimeError, match="history"):
-        sim.run_until(30)
+    old = _arrival(sim, 20, 1, log)
+    sim.cancel(old)
+    sim.schedule(20, TIMER, "n", log.append, "timer")
+    _arrival(sim, 20, 1, log)
+    # both arrival entries sit on the heap; their keys still differ
+    assert len(sim._heap) == 3 and sim.pending() == 2
+    assert sim.run_until(30) == 2
+    assert log == [1, "timer"]

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eager import EagerPoissonSource, eager_sources
-from wlansim import engine, mac, phy, scenarios, traffic
+from wlansim import mac, phy, scenarios, traffic
 from wlansim.engine import MS, PLACEMENT_STREAM, SEC, rng_stream
 from wlansim.runner import RunParams, _dump_records, run_trial
 
@@ -80,15 +80,27 @@ def _trial_text(spec, params, gap, eager):
 
 
 def _count_ties():
-    """Patch Scheduler._runs_first to count same-nanosecond decisions."""
-    calls = []
-    original = engine.Scheduler._runs_first
+    """Patch PoissonSource.flush to count the lazy arrivals that fall on the
+    nanosecond of the queue read that pushes them."""
+    ties = []
+    flush = traffic.PoissonSource.flush
 
-    def counted(self, *args):
-        calls.append(args)
-        return original(self, *args)
+    def counted(self):
+        now = self._sim.now()
+        make = self.bss.make_packets
 
-    return calls, mock.patch.object(engine.Scheduler, "_runs_first", counted)
+        def made(gen_times):
+            if gen_times[-1] == now:
+                ties.append(now)
+            return make(gen_times)
+
+        self.bss.make_packets = made
+        try:
+            flush(self)
+        finally:
+            del self.bss.make_packets
+
+    return ties, mock.patch.object(traffic.PoissonSource, "flush", counted)
 
 
 def test_lazy_trials_match_the_eager_source():

@@ -15,6 +15,7 @@ class SinkBss:
     """Just enough of the AP surface for a source to feed.  It never starts
     a cycle, so it stays idle and every arrival stays an event."""
 
+    bss_id = 0
     ap_name = "ap0"
     state = mac.IDLE
 
