@@ -92,6 +92,10 @@ class ScenarioSpec:
             # the load schedule underloads three distinct legacy APs
             raise ValueError(f"interval_s needs at least 3 legacy BSSs, "
                              f"got {len(self.legacy_ids())}")
+        if self.interval_s and self.burn_in_s >= self.interval_s:
+            # the burn-in may trim the first interval's window, not empty it
+            raise ValueError(f"burn_in_s {self.burn_in_s:g} must be shorter "
+                             f"than interval_s {self.interval_s:g}")
 
     def learning_ids(self):
         return [b.bss_id for b in self.bss if b.role == LEARNING]

@@ -247,6 +247,7 @@ def test_cli_interval_schedule_needs_three_legacy_bss(tmp_path, capsys):
     # the load schedule underloads three distinct legacy APs; mp1 has none
     spec = scenarios.build_scenario("mp1", seed=3)
     spec.interval_s = 0.25
+    spec.burn_in_s = 0.1
     cfg = tmp_path / "mp1-intervals.json"
     cfg.write_text(json.dumps(spec.to_dict()))
     out = tmp_path / "runs"
@@ -259,18 +260,39 @@ def test_cli_interval_schedule_needs_three_legacy_bss(tmp_path, capsys):
 
 
 def test_cli_duration_within_the_burn_in_fails_fast(tmp_path, capsys):
-    # 1 s of sp2 under the 2 s burn-in used to report goodput 0.0 and an
-    # interval window [2.0, 0.25] that ends before it starts
+    # 0.1 s of sp2 under a 0.2 s burn-in used to report goodput 0.0 and an
+    # interval window [0.2, 0.1] that ends before it starts
     spec = scenarios.build_scenario("sp2", seed=3)
     spec.interval_s = 0.25
+    spec.burn_in_s = 0.2
     cfg = tmp_path / "sp2-short.json"
+    cfg.write_text(json.dumps(spec.to_dict()))
+    out = tmp_path / "runs"
+    rc = cli.main(["run", "--config", str(cfg), "--algo", "none",
+                   "--channel", "2", "--trials", "1", "--duration", "0.1",
+                   "--out", str(out)])
+    assert rc == 1
+    assert "burn-in of 0.2 s" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("burn_in_s", [0.25, 0.5])
+def test_cli_burn_in_past_the_interval_fails_fast(tmp_path, capsys,
+                                                  burn_in_s):
+    # a 0.5 s burn-in under 0.25 s intervals used to give the first interval
+    # the window [0.5, 0.25] and the second an empty one
+    spec = scenarios.build_scenario("sp2", seed=3)
+    spec.interval_s = 0.25
+    spec.burn_in_s = burn_in_s
+    cfg = tmp_path / "sp2-burn-in.json"
     cfg.write_text(json.dumps(spec.to_dict()))
     out = tmp_path / "runs"
     rc = cli.main(["run", "--config", str(cfg), "--algo", "none",
                    "--channel", "2", "--trials", "1", "--duration", "1",
                    "--out", str(out)])
     assert rc == 1
-    assert "burn-in of 2 s" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "burn_in_s" in err and "interval_s" in err
     assert not out.exists()
 
 
