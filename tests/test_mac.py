@@ -6,6 +6,7 @@ lands at a hand-computed nanosecond.
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conftest import (AgentStub, StubRng, build_cell, foreign_frame,
@@ -321,6 +322,92 @@ def test_abort_mid_exchange_terminates_after_the_attempt():
     assert bss.last_record.end == 34_000 + 1100 * SLOT + EXCHANGE_20 == 10_244_400
     assert agent.rewards[0] == 0.0
     assert len(bss.queue) == 1
+
+
+# -- the STA counts each packet as delivered once --
+
+DELIVERED, LOST = 0.9, 0.1    # per-MPDU draws against per=0.5
+
+
+class ScriptedPer:
+    """Error stream that hands out one scripted draw vector per A-MPDU."""
+
+    def __init__(self, *vectors):
+        self.vectors = [np.array(v) for v in vectors]
+
+    def random(self, n):
+        v = self.vectors.pop(0)
+        assert len(v) == n
+        return v
+
+
+def _lose_first_ba(sim, spectrum, bss):
+    """Corrupt the first BlockACK with a foreign frame started beside it."""
+    send_ba = bss._send_ba
+    sent = []
+
+    def lossy(*args):
+        send_ba(*args)
+        if not sent:
+            sent.append(sim.now())
+            foreign_frame(sim, spectrum, (1,), sim.now(), sim.now() + 1_000)
+
+    bss._send_ba = lossy
+    return sent
+
+
+def _deliveries(m):
+    """(reception time, generation time) of every recorded delivery."""
+    out = []
+    k = 0
+    for t, bits in zip(m.sample_t, m.sample_bits):
+        for d in m.delay_ns[k:k + bits // (PACKET_BYTES * 8)]:
+            out.append((t, t - d))
+        k += bits // (PACKET_BYTES * 8)
+    assert k == len(m.delay_ns)
+    return out
+
+
+def test_lost_ba_then_partial_retry_records_each_packet_once():
+    sim, spectrum, bss = build_cell(per=0.5)
+    bss.rng_per = ScriptedPer(
+        [DELIVERED, DELIVERED, DELIVERED, LOST, LOST],   # BA lost
+        [LOST, DELIVERED, LOST, DELIVERED, LOST],        # acks 10 and 30
+        [LOST, LOST, DELIVERED],                         # the rest, in order
+        [DELIVERED, DELIVERED])
+    lost_ba = _lose_first_ba(sim, spectrum, bss)
+    bss.on_arrival(bss.make_packets([0, 10, 20, 30, 40]))
+    sim.run_until(5 * MS)
+    assert lost_ba
+    t = list(bss.metrics.sample_t)
+    assert len(t) == 4
+    # the retry's reception is new only for 30; the next cycle's third MPDU
+    # is 40, so 0, 20 and 40 stayed at the head in their order
+    assert _deliveries(bss.metrics) == [
+        (t[0], 0), (t[0], 10), (t[0], 20), (t[1], 30), (t[2], 40)]
+    assert list(bss.metrics.sample_bits) == [36_000, 12_000, 12_000, 0]
+    assert bss.metrics.acked_bytes == 5 * PACKET_BYTES
+    assert bss.metrics.cycles == 3
+    assert len(bss.queue) == 0
+
+
+def test_abort_after_delivery_keeps_packets_seen():
+    # the exchange crosses the 10 ms mark, delivers every MPDU, loses its
+    # BA and aborts; the next cycle resends the same packets
+    agent = AgentStub(Action((1,), 1, 1024))
+    sim, spectrum, bss = build_cell(agent=agent, beb=False, per=0.5,
+                                    draws=(1100,))
+    bss.rng_per = ScriptedPer([DELIVERED] * 3, [DELIVERED] * 3)
+    lost_ba = _lose_first_ba(sim, spectrum, bss)
+    bss.on_arrival(bss.make_packets([0, 10, 20]))
+    sim.run_until(12 * MS)
+    assert lost_ba and lost_ba[0] > 10 * MS
+    assert agent.rewards[0] == 0.0 and agent.begun == 2
+    t = list(bss.metrics.sample_t)
+    assert _deliveries(bss.metrics) == [(t[0], 0), (t[0], 10), (t[0], 20)]
+    assert list(bss.metrics.sample_bits) == [36_000, 0]
+    assert bss.last_record.outcome == SUCCESS
+    assert len(bss.queue) == 0
 
 
 def test_full_buffer_keeps_ampdus_maximal():
