@@ -9,11 +9,15 @@ Missing or corrupted responses surface as timeouts; retries re-enter
 contention carrying the same A-MPDU snapshot, up to the retry limit.
 Learning APs additionally force-terminate a cycle that has not finished
 within D_max and report the elapsed duration to their agent.
+
+A packet is its generation time in int64 ns.  Queues, snapshots, error
+draws and block acks are numpy arrays, so an A-MPDU's bookkeeping is a few
+array operations rather than a loop over its MPDUs.
 """
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+
+import numpy as np
 
 from . import agents, engine
 from .engine import MS
@@ -104,41 +108,51 @@ def beb_next_cw(cw, success):
 
 
 class TxQueue:
-    """Bounded FIFO of (packet id, generation ns) pairs."""
+    """Bounded FIFO of packet generation times.
+
+    The packets sit in buf[head:tail] of one preallocated int64 buffer; a
+    push that would run off its end first moves them back to the start.
+    """
 
     def __init__(self, capacity=QUEUE_CAPACITY):
         self.capacity = capacity
-        self.items = deque()
+        self._buf = np.empty(2 * capacity, dtype=np.int64)
+        self._head = 0
+        self._tail = 0
         self.overflow_drops = 0
 
     def __len__(self):
-        return len(self.items)
+        return self._tail - self._head
 
     def utilization(self):
-        return len(self.items) / self.capacity
+        return len(self) / self.capacity
 
-    def push(self, packets):
-        room = self.capacity - len(self.items)
-        if room >= len(packets):
-            self.items.extend(packets)
-        else:
-            if room > 0:
-                self.items.extend(packets[:room])
-            self.overflow_drops += len(packets) - max(room, 0)
+    def push(self, gens):
+        """Append at the tail; what does not fit counts as overflow."""
+        n = min(len(gens), self.capacity - len(self))
+        self.overflow_drops += len(gens) - n
+        if self._tail + n > len(self._buf):
+            size = len(self)
+            self._buf[:size] = self._buf[self._head:self._tail]
+            self._head, self._tail = 0, size
+        self._buf[self._tail:self._tail + n] = gens[:n]
+        self._tail += n
 
     def snapshot_head(self):
-        """FIFO prefix of at most one A-MPDU; packets stay queued."""
-        return list(islice(self.items, AMPDU_PACKETS))
+        """A copy of the FIFO prefix of at most one A-MPDU; packets stay
+        queued."""
+        return self._buf[self._head:
+                         min(self._head + AMPDU_PACKETS, self._tail)].copy()
 
-    def ack_head(self, n_head, acked_pids):
-        """Drop the acked subset of the first n_head packets, keep the rest."""
-        head = [self.items.popleft() for _ in range(n_head)]
-        kept = [p for p in head if p[0] not in acked_pids]
-        self.items.extendleft(reversed(kept))
+    def ack_head(self, lost):
+        """Take the first len(lost) packets off the head and put back the
+        ones flagged lost, in order."""
+        kept = self._buf[self._head:self._head + len(lost)][lost]
+        self._head += len(lost) - len(kept)
+        self._buf[self._head:self._head + len(kept)] = kept
 
     def drop_head(self, n):
-        for _ in range(n):
-            self.items.popleft()
+        self._head += n
 
 
 class Bss:
@@ -171,7 +185,7 @@ class Bss:
 
         self.queue = TxQueue()
         self.traffic = None      # attached by the runner
-        self._next_pid = 0
+        self.issued = 0          # packets made for this AP so far
 
         self.state = IDLE
         self.snapshot = None
@@ -186,16 +200,17 @@ class Bss:
         self.abort_ev = None
         self.abort_pending = False
         self._action_key = ""
-        self._sta_seen = set()   # delivered but not yet AP-acked packet ids
+        # per snapshot MPDU: delivered to the STA by an earlier attempt
+        self._sta_seen = np.zeros(0, dtype=bool)
         self._airtime_cache = {}
 
     # -- traffic entry points --
 
     def make_packets(self, gen_times):
-        """One fresh packet per generation time."""
-        first = self._next_pid
-        self._next_pid += len(gen_times)
-        return list(zip(range(first, self._next_pid), gen_times))
+        """One fresh packet per generation time, as an int64 array."""
+        packets = np.asarray(gen_times, dtype=np.int64)
+        self.issued += len(packets)
+        return packets
 
     def on_arrival(self, packets):
         self.queue.push(packets)
@@ -205,7 +220,7 @@ class Bss:
     # -- cycle control --
 
     def start_cycle(self):
-        if self.state != IDLE or not self.queue.items:
+        if self.state != IDLE or not len(self.queue):
             return
         now = self.sim.now()
         if self.agent is not None:
@@ -221,6 +236,11 @@ class Bss:
         self.retries = 0
         self.abort_pending = False
         self.snapshot = self.queue.snapshot_head()
+        # packets left queued by the last cycle head the new snapshot and
+        # keep their flags
+        seen = np.zeros(len(self.snapshot), dtype=bool)
+        seen[:len(self._sta_seen)] = self._sta_seen
+        self._sta_seen = seen
         self.metrics.cycles += 1
         self.state = CONTEND
         self._begin_contention(fresh=True)
@@ -344,19 +364,12 @@ class Bss:
             self._attempt_failed)
         if tx.corrupted:
             return
-        # STA side: per-MPDU error draws, first-delivery metrics, then BA
-        draws = self.rng_per.random(len(self.snapshot))
-        acked = []
-        new = 0
-        for (pid, gen), u in zip(self.snapshot, draws):
-            if u < self.per:
-                continue
-            acked.append(pid)
-            if pid not in self._sta_seen:
-                self._sta_seen.add(pid)
-                new += 1
-                self.metrics.record_delivery(gen, now)
-        self.metrics.record_data_reception(now, new * PACKET_BYTES * 8)
+        # STA side: per-MPDU error draws, first-delivery delays, then a BA
+        # whose payload is the ack mask
+        acked = self.rng_per.random(len(self.snapshot)) >= self.per
+        new = acked & ~self._sta_seen
+        self._sta_seen |= acked
+        self.metrics.record_data_reception(now, now - self.snapshot[new])
         self.sim.schedule(now + SIFS, engine.FRAME_START, self.sta_name,
                           self._send_ba, acked)
 
@@ -374,8 +387,8 @@ class Bss:
             return
         self.sim.cancel(self.timeout_ev)
         self.timeout_ev = None
-        if tx.payload:
-            self._finish_cycle(SUCCESS, set(tx.payload))
+        if tx.payload.any():
+            self._finish_cycle(SUCCESS, tx.payload)
         else:
             self._attempt_failed()
 
@@ -387,9 +400,9 @@ class Bss:
         if self.beb:
             self.cw = beb_next_cw(self.cw, success=False)
         if self.retries > RETRY_LIMIT:
-            self._finish_cycle(FAILURE, set())
+            self._finish_cycle(FAILURE)
         elif self.abort_pending:
-            self._finish_cycle(ABORTED, set())
+            self._finish_cycle(ABORTED)
         else:
             self.state = CONTEND
             self._begin_contention(fresh=True)
@@ -401,29 +414,31 @@ class Bss:
                 self.sim.cancel(self.pending)
                 self.pending = None
             self.spectrum.unsubscribe(self.primary, self)
-            self._finish_cycle(ABORTED, set())
+            self._finish_cycle(ABORTED)
         else:
             # mid-exchange: let the attempt resolve, then terminate
             self.abort_pending = True
 
-    def _finish_cycle(self, outcome, acked_pids):
+    def _finish_cycle(self, outcome, acked=None):
         now = self.sim.now()
         if self.traffic is not None:
             self.traffic.flush()   # arrivals due by now join the queue first
         if self.abort_ev is not None:
             self.sim.cancel(self.abort_ev)
             self.abort_ev = None
+        # an aborted snapshot stays queued with all its flags
         released = 0
         if outcome == SUCCESS:
-            released = len(acked_pids)
-            self.queue.ack_head(len(self.snapshot), acked_pids)
-            self._sta_seen.difference_update(acked_pids)
+            lost = ~acked
+            released = len(acked) - int(np.count_nonzero(lost))
+            self.queue.ack_head(lost)
+            self._sta_seen = self._sta_seen[lost]
             if self.beb:
                 self.cw = beb_next_cw(self.cw, success=True)
         elif outcome == FAILURE:
             self.queue.drop_head(len(self.snapshot))
             self.metrics.retry_drops += len(self.snapshot)
-            self._sta_seen.difference_update(p[0] for p in self.snapshot)
+            self._sta_seen = self._sta_seen[:0]
             released = len(self.snapshot)
             if self.beb:
                 self.cw = beb_next_cw(self.cw, success=True)  # fresh frame

@@ -4,7 +4,9 @@ Instantaneous goodput is sampled at each data-frame reception as the bits
 newly delivered over the gap since the previous reception; aggregates are
 time-weighted so dense sample bursts do not dominate.  Raw per-packet data
 lives in compact arrays, a 60 s saturated run delivers on the order of a
-million packets per BSS.
+million packets per BSS.  A reception appends all its packets' delays in one
+call; a packet's delivery time is its reception's, so the per-packet times
+are rebuilt from the receptions when a window needs them.
 """
 
 from array import array
@@ -12,6 +14,9 @@ from array import array
 import numpy as np
 
 from .engine import MS
+from .mac import PACKET_BYTES
+
+PACKET_BITS = PACKET_BYTES * 8
 
 
 class BssMetrics:
@@ -21,21 +26,25 @@ class BssMetrics:
         self.bss_id = bss_id
         self.sample_t = array("q")     # ns of each data-frame reception
         self.sample_bits = array("q")  # newly delivered payload bits
-        self.ack_t = array("q")        # per delivered packet
-        self.delay_ns = array("q")
+        self.delay_ns = array("q")     # per delivered packet, by reception
         self.acked_bytes = 0
         self.retry_drops = 0
         self.cycles = 0
         self.decisions = []            # (cycle start ns, action key, reward)
 
-    def record_data_reception(self, now, new_bits):
+    def record_data_reception(self, now, delays):
+        """One data-frame reception and the delays, in ns, of the packets it
+        delivered for the first time."""
+        delays = np.asarray(delays, dtype=np.int64)
         self.sample_t.append(now)
-        self.sample_bits.append(new_bits)
-        self.acked_bytes += new_bits // 8
+        self.sample_bits.append(len(delays) * PACKET_BITS)
+        self.acked_bytes += len(delays) * PACKET_BYTES
+        self.delay_ns.frombytes(delays.tobytes())
 
-    def record_delivery(self, gen, now):
-        self.ack_t.append(now)
-        self.delay_ns.append(now - gen)
+    def ack_times(self):
+        """Delivery time of each packet in delay_ns."""
+        return np.repeat(np.asarray(self.sample_t, dtype=np.int64),
+                         np.asarray(self.sample_bits) // PACKET_BITS)
 
 
 def time_weighted_goodput(sample_t, sample_bits, w0, w1):

@@ -102,8 +102,8 @@ def _trial_assignments(spec, trial):
 
 
 def _duration_ns(spec, params):
-    """Effective trial duration; under a load schedule it must outlast the
-    burn-in and may not outrun the schedule."""
+    """Effective trial duration; it must outlast the burn-in and, under a
+    load schedule, may not outrun the schedule."""
     duration = int(round((params.duration_s or spec.duration_s) * SEC))
     if spec.interval_s:
         iv = int(round(spec.interval_s * SEC))
@@ -111,11 +111,11 @@ def _duration_ns(spec, params):
             raise ValueError(
                 f"duration {duration / SEC:g} s exceeds the {N_INTERVALS} "
                 f"load intervals of {spec.interval_s:g} s")
-        if duration <= int(round(spec.burn_in_s * SEC)):
-            # the goodput window would be empty, the first interval inverted
-            raise ValueError(
-                f"duration {duration / SEC:g} s does not outlast the "
-                f"burn-in of {spec.burn_in_s:g} s")
+    if duration <= int(round(spec.burn_in_s * SEC)):
+        # the goodput window would be empty, the first interval inverted
+        raise ValueError(
+            f"duration {duration / SEC:g} s does not outlast the "
+            f"burn-in of {spec.burn_in_s:g} s")
     return duration
 
 
@@ -247,7 +247,8 @@ def _window_fields(m, w0, w1):
     plus the per-action shares behind them (None without decisions)."""
     fields = {"goodput_mbps": metrics.time_weighted_goodput(
                   m.sample_t, m.sample_bits, w0, w1),
-              "delay_ms": metrics.delay_stats_ms(m.delay_ns, m.ack_t, w0, w1)}
+              "delay_ms": metrics.delay_stats_ms(m.delay_ns, m.ack_times(),
+                                               w0, w1)}
     freqs = None
     if m.decisions:
         freqs = metrics.selection_frequencies(m.decisions, w0, w1)

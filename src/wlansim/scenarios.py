@@ -226,7 +226,10 @@ def build_scenario(name, seed):
 
 
 def build_deployment(seed, n_legacy, duration_s):
-    """One random tuning deployment: a learning AP among random legacy APs."""
+    """One random tuning deployment: a learning AP among random legacy APs.
+
+    Its burn-in is a quarter of its run (2 s of the 8 s tuning-deployment),
+    so the short runs of the tuning grid still leave a window to measure."""
     rng = rng_stream(seed, 0, 0, PLACEMENT_STREAM)
     layout = [BssSpec(1, LEARNING, _full())]
     for i in range(n_legacy):
@@ -240,7 +243,7 @@ def build_deployment(seed, n_legacy, duration_s):
         layout.append(BssSpec(2 + i, LEGACY, ts,
                               channels=group, primary=group[0]))
     spec = ScenarioSpec("tuning-deployment", seed, layout,
-                        duration_s=duration_s)
+                        duration_s=duration_s, burn_in_s=duration_s / 4)
     _place(spec, rng)
     spec.validate()
     return spec

@@ -2,14 +2,18 @@
 
 Loads are fractions of the link's maximum theoretical goodput, an analytic
 zero-contention saturation bound, resolved to concrete bit rates before a
-run starts.  All generators push mac.PACKET_BYTES packets into the AP queue.
+run starts.  All generators push mac.PACKET_BYTES packets, as int64 arrays
+of generation times, into the AP queue.
 
-Poisson and bursty arrivals to a busy AP are not events: the AP can only
-see them when it reads its queue, so the source pushes the ones due by each
-read (flush) and turns the next one back into an event when the AP goes idle
+A Poisson or bursty source plans its arrival times a block of exponential
+draws at a time.  Arrivals to a busy AP are not events: the AP can only see
+them when it reads its queue, so the source pushes the ones due by each read
+(flush) and turns the next one back into an event when the AP goes idle
 (on_idle).  As the engine runs the arrivals of a nanosecond before its other
 events, "due by a read at now" is simply "at or before now".
 """
+
+import numpy as np
 
 from . import phy
 from .engine import ARRIVAL, SEC
@@ -17,12 +21,18 @@ from .mac import AMPDU_PACKETS, CW_MIN, IDLE, PACKET_BYTES
 
 BURST_PACKETS = 64
 VR_FPS = 90
-GAP_BLOCK = 1024   # exponential gaps drawn per rng call
+GAP_BLOCK = 1024   # exponential draws per rng call, planned as one block
 
 FULL_BUFFER = "full_buffer"
 POISSON = "poisson"
 BURSTY = "bursty"
 VR = "vr"
+
+
+def arrival_gaps(draws, mean_ns):
+    """Integer gaps for standard exponential draws at mean_ns: each scaled
+    draw truncated to whole ns, at least 1."""
+    return np.maximum((mean_ns * draws).astype(np.int64), 1)
 
 
 def max_theoretical_goodput(width):
@@ -67,10 +77,10 @@ class FullBufferSource(_Source):
 
     def start(self, sim):
         room = self.bss.queue.capacity - len(self.bss.queue)
-        self.bss.on_arrival(self.bss.make_packets([sim.now()] * room))
+        self.bss.on_arrival(self.bss.make_packets(np.full(room, sim.now())))
 
     def on_release(self, count, now):
-        self.bss.on_arrival(self.bss.make_packets([now] * count))
+        self.bss.on_arrival(self.bss.make_packets(np.full(count, now)))
 
 
 class _RatedSource(_Source):
@@ -107,7 +117,7 @@ class _RatedSource(_Source):
         now = self._sim.now()
         n = self._batch_size()
         if n:
-            self.bss.on_arrival(self.bss.make_packets([now] * n))
+            self.bss.on_arrival(self.bss.make_packets(np.full(n, now)))
         self._schedule_next()
 
 
@@ -115,51 +125,81 @@ class PoissonSource(_RatedSource):
     """Batches of burst packets at exponential gaps; plain Poisson is burst 1,
     the bursty kind BURST_PACKETS.
 
+    The arrival times of a block of draws are one cumsum of their gaps.
     Only an arrival to an idle AP is an event; while the AP is busy, the
-    next one waits as a time until the AP reads its queue.
+    pending one is held in the plan until the AP reads its queue.
     """
 
     def __init__(self, bss, rng, rate_bps, burst=1):
         super().__init__(bss, rng, rate_bps)
         self.burst = burst
         self.kind = POISSON if burst == 1 else BURSTY
-        self._gaps = iter(())
-        self._due = None   # the next arrival while it is not an event
+        self._draws = None    # the raw draws behind the plan
+        self._times = None    # planned arrival times, one per draw
+        self._i = 0           # index of the pending arrival
+        self._held = False    # the pending arrival is not an event
+
+    def start(self, sim):
+        self._sim = sim
+        self._plan(sim.now(), ())
+        self._wake()
+
+    def set_rate(self, rate_bps, sim):
+        # arrivals due by now keep the old rate; the pending one is
+        # forgotten and the new rate plans the draws after it from now
+        self.flush()
+        self.rate_bps = rate_bps
+        if self._ev is not None:
+            sim.cancel(self._ev)
+            self._ev = None
+        self._plan(sim.now(), self._draws[self._i + 1:])
+        self._wake()
+
+    def _plan(self, t0, draws):
+        """Plan arrivals after t0 from draws, or from a fresh block when
+        none are left."""
+        if not len(draws):
+            draws = self.rng.standard_exponential(GAP_BLOCK)
+        mean_ns = self.burst * PACKET_BYTES * 8 / self.rate_bps * SEC
+        self._draws = draws
+        self._times = t0 + np.cumsum(arrival_gaps(draws, mean_ns))
+        self._i = 0
+
+    def _advance(self, k):
+        """Make planned arrival k the pending one; past the end of the plan,
+        plan a fresh block from its last arrival."""
+        if k < len(self._times):
+            self._i = k
+        else:
+            self._plan(int(self._times[-1]), ())
+
+    def _wake(self):
+        """An idle AP gets the pending arrival as an event; for a busy one
+        it stays held."""
+        self._held = self.bss.state != IDLE
+        if not self._held:
+            self._arrive_at(int(self._times[self._i]))
 
     def _schedule_next(self):
-        t = self._sim.now() + self._next_gap()
-        if self.bss.state == IDLE:
-            self._arrive_at(t)
-        else:
-            self._due = t
+        self._advance(self._i + 1)
+        self._wake()
 
     def flush(self):
-        t = self._due
-        if t is None:
+        if not self._held:
             return
         now = self._sim.now()
-        times = []
-        while t <= now:
-            times += [t] * self.burst
-            t += self._next_gap()
-        self._due = t
-        if times:
-            self.bss.queue.push(self.bss.make_packets(times))
+        due = []
+        while self._times[self._i] <= now:
+            k = int(self._times.searchsorted(now, "right"))
+            due.append(self._times[self._i:k])
+            self._advance(k)
+        if due:
+            gens = np.repeat(np.concatenate(due), self.burst)
+            self.bss.queue.push(self.bss.make_packets(gens))
 
     def on_idle(self):
-        if self._due is not None:
-            self._arrive_at(self._due)
-            self._due = None
-
-    def _next_gap(self):
-        # block draws give the same doubles as one exponential(mean) per call
-        e = next(self._gaps, None)
-        if e is None:
-            block = self.rng.standard_exponential(GAP_BLOCK)
-            self._gaps = iter(block.tolist())
-            e = next(self._gaps)
-        gap = int(self.burst * PACKET_BYTES * 8 / self.rate_bps * SEC * e)
-        return gap if gap > 0 else 1
+        if self._held:
+            self._wake()
 
     def _batch_size(self):
         return self.burst

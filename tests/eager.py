@@ -2,11 +2,14 @@
 
 This is the reference that the lazy traffic.PoissonSource must match byte
 for byte.  It schedules each arrival on the heap, whatever the AP is doing,
-and draws one exponential gap per arrival.  eager_sources() swaps it in for
-the lazy source in every trial built inside the block.
+and draws one exponential per arrival, which it turns into a gap through the
+same traffic.arrival_gaps map as the lazy source.  eager_sources() swaps it
+in for the lazy source in every trial built inside the block.
 """
 
 from contextlib import contextmanager
+
+import numpy as np
 
 from wlansim import traffic
 from wlansim.engine import ARRIVAL, SEC
@@ -40,12 +43,13 @@ class EagerPoissonSource(traffic._Source):
     def _arrive(self):
         self._ev = None
         now = self._sim.now()
-        self.bss.on_arrival(self.bss.make_packets([now] * self.burst))
+        self.bss.on_arrival(self.bss.make_packets(np.full(self.burst, now)))
         self._schedule_next()
 
     def _next_gap(self):
         mean_ns = self.burst * PACKET_BYTES * 8 / self.rate_bps * SEC
-        return max(1, int(self.rng.exponential(mean_ns)))
+        return int(traffic.arrival_gaps(self.rng.standard_exponential(1),
+                                        mean_ns)[0])
 
 
 @contextmanager

@@ -438,6 +438,7 @@ def test_criterion_11_mp1_coexistence():
 def test_criterion_12_determinism():
     with criterion(12, "byte-identical-reruns"):
         spec = scenarios.build_scenario("sp1", SEED)
+        spec.burn_in_s = 0.5    # the run must outlast its burn-in
         params = RunParams(algo="linucb", arch="ma", trials=2,
                            duration_s=2.0, decision_log=True)
         base = CACHE / "determinism"

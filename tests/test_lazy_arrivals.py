@@ -5,20 +5,23 @@ when it next reads it.  These trials must still be byte-identical to ones
 where every arrival is an event (tests/eager.py), also under gap scripts
 that put arrivals on the same nanosecond as MAC events (the lattice and DCF
 scripts) or as each other (the periodic script, under which APs that go
-idle wake arrivals in front of events already queued).  And every packet
-a lazily fed AP was given must be accounted for at the end of a trial.
+idle wake arrivals in front of events already queued).  A script replaces
+traffic.arrival_gaps, the map from raw exponential draws to integer gaps
+that both sources go through.  And every packet a lazily fed AP was given
+must be accounted for at the end of a trial.
 """
 
 from contextlib import ExitStack
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eager import EagerPoissonSource, eager_sources
 from wlansim import mac, phy, scenarios, traffic
-from wlansim.engine import MS, PLACEMENT_STREAM, SEC, rng_stream
+from wlansim.engine import MS, PLACEMENT_STREAM, rng_stream
 from wlansim.runner import RunParams, _dump_records, run_trial
 
 CASES = [
@@ -36,26 +39,26 @@ DCF_GAPS = (phy.SIFS, phy.SLOT, phy.DIFS, phy.PIFS, phy.RTS_AIRTIME,
             400, 3 * MS)
 
 
-def lattice_gap(source):
+def lattice_gaps(draws, mean_ns):
     """Exponential gaps rounded onto the DCF time grid."""
-    mean_ns = source.burst * mac.PACKET_BYTES * 8 / source.rate_bps * SEC
-    return LATTICE_NS * max(
-        1, round(source.rng.exponential(mean_ns) / LATTICE_NS))
+    return LATTICE_NS * np.maximum(
+        1, np.rint(mean_ns * draws / LATTICE_NS)).astype(np.int64)
 
 
-def dcf_gap(source):
-    """Gaps drawn from the MAC's own intervals and airtimes."""
-    return DCF_GAPS[int(source.rng.integers(0, len(DCF_GAPS)))]
+def dcf_gaps(draws, mean_ns):
+    """Gaps picked from the MAC's own intervals and airtimes."""
+    pick = (draws * 1e6).astype(np.int64) % len(DCF_GAPS)
+    return np.array(DCF_GAPS, dtype=np.int64)[pick]
 
 
-def periodic_gap(source):
+def periodic_gaps(draws, mean_ns):
     """One arrival every millisecond at every source: the sources' arrivals
     coincide, so APs that go idle wake arrivals into a crowded nanosecond."""
-    return MS
+    return np.full(len(draws), MS, dtype=np.int64)
 
 
-GAPS = {"exponential": None, "lattice": lattice_gap, "dcf": dcf_gap,
-        "periodic": periodic_gap}
+GAPS = {"exponential": None, "lattice": lattice_gaps, "dcf": dcf_gaps,
+        "periodic": periodic_gaps}
 
 
 def _spec(name, seed):
@@ -72,8 +75,8 @@ def _spec(name, seed):
 def _trial_text(spec, params, gap, eager):
     with ExitStack() as stack:
         if gap is not None:
-            for cls in (traffic.PoissonSource, EagerPoissonSource):
-                stack.enter_context(mock.patch.object(cls, "_next_gap", gap))
+            stack.enter_context(
+                mock.patch.object(traffic, "arrival_gaps", gap))
         if eager:
             stack.enter_context(eager_sources())
         return _dump_records(run_trial(spec, params, 0))
@@ -127,10 +130,10 @@ class CountingQueue(mac.TxQueue):
         super().__init__(capacity)
         self.acked_out = 0
 
-    def ack_head(self, n_head, acked_pids):
-        before = len(self.items)
-        super().ack_head(n_head, acked_pids)
-        self.acked_out += before - len(self.items)
+    def ack_head(self, lost):
+        before = len(self)
+        super().ack_head(lost)
+        self.acked_out += before - len(self)
 
 
 class RecordingBss(mac.Bss):
@@ -191,7 +194,8 @@ def test_lazily_fed_aps_conserve_packets(seed, legacy, learner_kind, channel,
     for bss, ref in zip(lazy, eager):
         q = bss.queue
         assert len(q) <= q.capacity
-        assert bss._next_pid == (len(q) + q.overflow_drops
-                                 + bss.metrics.retry_drops + q.acked_out)
+        # every packet make_packets issued is queued, dropped or acked
+        assert bss.issued == (len(q) + q.overflow_drops
+                              + bss.metrics.retry_drops + q.acked_out)
         # lost, doubled or forgotten arrivals change the issued count
-        assert bss._next_pid == ref._next_pid, bss.bss_id
+        assert bss.issued == ref.issued, bss.bss_id

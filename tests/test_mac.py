@@ -4,10 +4,13 @@ The timing tests script the backoff draws through StubRng, so every event
 lands at a hand-computed nanosecond.
 """
 
+from collections import deque
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (AgentStub, StubRng, build_cell, foreign_frame,
                       offer_packets)
@@ -125,17 +128,21 @@ def test_beb_doubling_and_reset():
 
 # -- TxQueue --
 
+# packets below are told apart by their generation times
+
 def test_queue_overflow_drops_at_tail():
     q = TxQueue(capacity=500)
-    q.push([(i, 0) for i in range(600)])
+    q.push(np.arange(600))
     assert len(q) == 500
     assert q.overflow_drops == 100
-    assert q.items[0][0] == 0 and q.items[-1][0] == 499
+    assert q.snapshot_head()[0] == 0
+    q.drop_head(499)
+    assert list(q.snapshot_head()) == [499]
 
 
 def test_snapshot_packs_43_full_packets():
     q = TxQueue()
-    q.push([(i, 0) for i in range(100)])
+    q.push(np.arange(100))
     snap = q.snapshot_head()
     assert len(snap) == 43
     assert len(snap) * PACKET_BYTES == 64_500
@@ -144,18 +151,69 @@ def test_snapshot_packs_43_full_packets():
 
 def test_snapshot_single_packet():
     q = TxQueue()
-    q.push([(0, 0)])
-    assert q.snapshot_head() == [(0, 0)]
+    q.push([0])
+    assert list(q.snapshot_head()) == [0]
 
 
 def test_ack_head_keeps_unacked_in_order():
     q = TxQueue()
-    q.push([(i, 0) for i in range(5)])
-    q.ack_head(3, {0, 2})
-    assert [p[0] for p in q.items] == [1, 3, 4]
+    q.push(np.arange(5))
+    q.ack_head(np.array([False, True, False]))   # 0 and 2 acked
+    assert list(q.snapshot_head()) == [1, 3, 4]
     q.drop_head(1)
-    assert [p[0] for p in q.items] == [3, 4]
+    assert list(q.snapshot_head()) == [3, 4]
     assert q.utilization() == pytest.approx(2 / 500)
+
+
+class _Ops:
+    """Random push / snapshot / ack / drop calls for the queue model test."""
+
+    push = st.tuples(st.just("push"), st.integers(0, 60))
+    ack = st.tuples(st.just("ack"), st.lists(st.booleans(), max_size=43))
+    drop = st.tuples(st.just("drop"), st.integers(0, 43))
+    snapshot = st.tuples(st.just("snapshot"), st.none())
+    any = st.lists(st.one_of(push, ack, drop, snapshot), max_size=80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(1, 100), ops=_Ops.any)
+# overflow at capacity, then a push that compacts across the buffer's end
+@example(capacity=3, ops=[("push", 5), ("drop", 2), ("push", 2),
+                          ("ack", [True, False]), ("push", 2),
+                          ("drop", 1), ("push", 3), ("snapshot", None)])
+def test_queue_matches_a_deque_model(capacity, ops):
+    q = TxQueue(capacity)
+    model = deque()
+    overflow = 0
+    issued = 0
+    for op, arg in ops:
+        if op == "push":
+            gens = np.arange(issued, issued + arg)
+            issued += arg
+            q.push(gens)
+            room = capacity - len(model)
+            model.extend(gens[:room].tolist())
+            overflow += max(0, arg - room)
+        elif op == "ack":
+            lost = arg[:min(len(model), mac.AMPDU_PACKETS)]
+            q.ack_head(np.array(lost, dtype=bool))
+            head = [model.popleft() for _ in lost]
+            model.extendleft(reversed([g for g, k in zip(head, lost) if k]))
+        elif op == "drop":
+            n = min(arg, len(model))
+            q.drop_head(n)
+            for _ in range(n):
+                model.popleft()
+        snap = q.snapshot_head()
+        assert snap.dtype == np.int64
+        assert list(snap) == list(model)[:mac.AMPDU_PACKETS]
+        assert len(q) == len(model) <= capacity
+        assert q.overflow_drops == overflow
+    rest = []
+    while len(q):
+        rest.extend(q.snapshot_head().tolist())
+        q.drop_head(len(q.snapshot_head()))
+    assert rest == list(model)
 
 
 # -- exact single-cycle timing --

@@ -119,9 +119,9 @@ def test_frequency_collapses():
 
 def test_bss_metrics_counters():
     m = BssMetrics(4)
-    m.record_data_reception(1000, 12_000)
-    m.record_data_reception(2000, 0)
-    m.record_delivery(0, 1000)
+    m.record_data_reception(1000, [1000])
+    m.record_data_reception(2000, [])
     assert m.acked_bytes == 1500
     assert list(m.sample_bits) == [12_000, 0]
     assert list(m.delay_ns) == [1000]
+    assert list(m.ack_times()) == [1000]

@@ -18,6 +18,19 @@ def _params(**kw):
     return RunParams(**base)
 
 
+def _short(name="sp1", seed=3):
+    """A scenario with its burn-in trimmed below these tests' short runs."""
+    spec = scenarios.build_scenario(name, seed)
+    spec.burn_in_s = 0.05
+    return spec
+
+
+def _short_config(tmp_path, name="sp1"):
+    cfg = tmp_path / f"{name}-short.json"
+    cfg.write_text(json.dumps(_short(name).to_dict()))
+    return cfg
+
+
 def test_params_validation_and_method():
     _params().validate()
     with pytest.raises(ValueError):
@@ -66,7 +79,7 @@ def test_interval_schedule_properties():
 
 
 def test_trial_is_deterministic():
-    spec = scenarios.build_scenario("sp1", seed=3)
+    spec = _short()
     a = _dump_records(run_trial(spec, _params(), trial=0))
     b = _dump_records(run_trial(spec, _params(), trial=0))
     assert a == b
@@ -75,7 +88,7 @@ def test_trial_is_deterministic():
 
 
 def test_trial_record_layout():
-    spec = scenarios.build_scenario("sp1", seed=3)
+    spec = _short()
     recs = run_trial(spec, RunParams(algo="linucb", arch="ma", trials=1,
                                      duration_s=0.3, decision_log=True),
                      trial=0)
@@ -120,7 +133,7 @@ def test_interval_machinery_small_scale():
 
 
 def test_run_many_files_and_reproducibility(tmp_path):
-    spec = scenarios.build_scenario("sp1", seed=3)
+    spec = _short()
     a = run_many(spec, _params(), tmp_path / "a")
     for name in ("run.json", "trial_000.jsonl", "trial_001.jsonl",
                  "summary.jsonl"):
@@ -134,7 +147,7 @@ def test_run_many_files_and_reproducibility(tmp_path):
 
 
 def test_summary_recomputes_from_trials(tmp_path):
-    spec = scenarios.build_scenario("sp1", seed=3)
+    spec = _short()
     out = run_many(spec, _params(), tmp_path / "r")
     recs = load_records(out)
     per_bss = {}
@@ -161,10 +174,7 @@ def test_cli_list_scenarios(capsys):
 
 def test_cli_run_and_export(tmp_path, capsys):
     # short run: trim the burn-in below the duration via a config file
-    spec = scenarios.build_scenario("sp1", seed=3)
-    spec.burn_in_s = 0.05
-    cfg = tmp_path / "sp1-short.json"
-    cfg.write_text(json.dumps(spec.to_dict()))
+    cfg = _short_config(tmp_path)
     out = tmp_path / "runs"
     rc = cli.main(["run", "--config", str(cfg), "--algo", "none",
                    "--channel", "2", "--trials", "1",
@@ -188,8 +198,8 @@ def test_cli_run_and_export(tmp_path, capsys):
 def test_cli_config_round_trip(tmp_path):
     cfg = tmp_path / "spec.json"
     a = tmp_path / "a"
-    rc = cli.main(["run", "--scenario", "sp1", "--algo", "none",
-                   "--channel", "2", "--seed", "3", "--trials", "1",
+    rc = cli.main(["run", "--config", str(_short_config(tmp_path)),
+                   "--algo", "none", "--channel", "2", "--trials", "1",
                    "--duration", "0.2", "--out", str(a),
                    "--export-config", str(cfg)])
     assert rc == 0
@@ -206,9 +216,10 @@ def test_cli_config_round_trip(tmp_path):
 
 def test_cli_trace_writes_event_log(tmp_path):
     out = tmp_path / "runs"
-    rc = cli.main(["run", "--scenario", "sp1", "--algo", "none",
-                   "--channel", "2", "--trials", "1", "--duration", "0.1",
-                   "--trace", "--workers", "4", "--out", str(out)])
+    rc = cli.main(["run", "--config", str(_short_config(tmp_path)),
+                   "--algo", "none", "--channel", "2", "--trials", "1",
+                   "--duration", "0.1", "--trace", "--workers", "4",
+                   "--out", str(out)])
     assert rc == 0
     trace = (out / "static-ch2" / "trace_000.log").read_text()
     assert " backoff ap1" in trace
@@ -216,8 +227,9 @@ def test_cli_trace_writes_event_log(tmp_path):
 
 def test_cli_baseline_sweep_covers_all_allocations(tmp_path):
     out = tmp_path / "sweep"
-    rc = cli.main(["run", "--scenario", "baseline-sweep", "--trials", "1",
-                   "--duration", "0.1", "--seed", "3", "--out", str(out)])
+    cfg = _short_config(tmp_path, "baseline-sweep")
+    rc = cli.main(["run", "--config", str(cfg), "--trials", "1",
+                   "--duration", "0.1", "--out", str(out)])
     assert rc == 0
     for label in range(1, 8):
         assert (out / f"static-ch{label}" / "run.json").exists()
@@ -276,6 +288,25 @@ def test_cli_duration_within_the_burn_in_fails_fast(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_duration_within_the_burn_in_fails_fast_without_a_schedule(
+        tmp_path, capsys):
+    # 0.1 s of sp1 under its 2 s burn-in used to report goodput 0.0 over an
+    # empty window
+    out = tmp_path / "runs"
+    rc = cli.main(["run", "--scenario", "sp1", "--algo", "none",
+                   "--channel", "2", "--trials", "1", "--duration", "0.1",
+                   "--out", str(out)])
+    assert rc == 1
+    assert "burn-in of 2 s" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tuning_deployments_outlast_their_burn_in():
+    for spec in tuning.deployment_grid(3):
+        assert spec.burn_in_s < spec.duration_s
+        _duration_ns(spec, RunParams(algo="ucb", arch="sa"))
+
+
 @pytest.mark.parametrize("burn_in_s", [0.25, 0.5])
 def test_cli_burn_in_past_the_interval_fails_fast(tmp_path, capsys,
                                                   burn_in_s):
@@ -316,8 +347,9 @@ def test_cli_malformed_bss_fields_are_named(tmp_path, capsys, field, value,
 
 def test_cli_out_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("WLANSIM_OUT", str(tmp_path / "envruns"))
-    rc = cli.main(["run", "--scenario", "sp1", "--algo", "none",
-                   "--channel", "2", "--trials", "1", "--duration", "0.1"])
+    rc = cli.main(["run", "--config", str(_short_config(tmp_path)),
+                   "--algo", "none", "--channel", "2", "--trials", "1",
+                   "--duration", "0.1"])
     assert rc == 0
     assert (tmp_path / "envruns" / "static-ch2" / "run.json").exists()
 

@@ -1,5 +1,6 @@
 """Traffic generators and the analytic saturation bound."""
 
+import numpy as np
 import pytest
 
 from conftest import MCS_TOP
@@ -22,15 +23,12 @@ class SinkBss:
     def __init__(self):
         self.queue = TxQueue()
         self.batches = []
-        self._pid = 0
 
     def make_packets(self, gen_times):
-        out = [(self._pid + i, t) for i, t in enumerate(gen_times)]
-        self._pid += len(out)
-        return out
+        return np.asarray(gen_times, dtype=np.int64)
 
     def on_arrival(self, packets):
-        self.batches.append(list(packets))
+        self.batches.append(packets)
         self.queue.push(packets)
 
     def offered_bytes(self):
@@ -78,7 +76,7 @@ def test_vr_cadence_is_exact():
     src.start(sim)
     sim.run_until(10 * SEC)
     assert len(sink.batches) == 900
-    gaps = {sink.batches[k][0][1] - sink.batches[k - 1][0][1]
+    gaps = {int(sink.batches[k][0] - sink.batches[k - 1][0])
             for k in range(1, 900)}
     assert gaps == {11_111_111}
 
@@ -98,9 +96,10 @@ def test_vr_long_run_bytes_exact():
 def test_poisson_gap_distribution():
     src = PoissonSource(SinkBss(), rng_stream(7, 0, 1, TRAFFIC_STREAM),
                         rate_bps=12_000_000)
-    gaps = [src._next_gap() for _ in range(100_000)]
-    assert sum(gaps) / len(gaps) == pytest.approx(1 * MS, rel=0.02)
-    assert min(gaps) >= 1
+    src._plan(0, src.rng.standard_exponential(100_000))
+    gaps = np.diff(src._times, prepend=0)
+    assert gaps.sum() / len(gaps) == pytest.approx(1 * MS, rel=0.02)
+    assert gaps.min() >= 1
 
 
 def test_poisson_offered_load():
