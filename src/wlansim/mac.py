@@ -429,10 +429,9 @@ class Bss:
         # an aborted snapshot stays queued with all its flags
         released = 0
         if outcome == SUCCESS:
-            lost = ~acked
-            released = len(acked) - int(np.count_nonzero(lost))
-            self.queue.ack_head(lost)
-            self._sta_seen = self._sta_seen[lost]
+            released = int(np.count_nonzero(acked))
+            self.queue.ack_head(~acked)
+            self._sta_seen = self._sta_seen[~acked]
             if self.beb:
                 self.cw = beb_next_cw(self.cw, success=True)
         elif outcome == FAILURE:
