@@ -165,18 +165,16 @@ def test_ack_head_keeps_unacked_in_order():
     assert q.utilization() == pytest.approx(2 / 500)
 
 
-class _Ops:
-    """Random push / snapshot / ack / drop calls for the queue model test."""
-
-    push = st.tuples(st.just("push"), st.integers(0, 60))
-    ack = st.tuples(st.just("ack"), st.lists(st.booleans(), max_size=43))
-    drop = st.tuples(st.just("drop"), st.integers(0, 43))
-    snapshot = st.tuples(st.just("snapshot"), st.none())
-    any = st.lists(st.one_of(push, ack, drop, snapshot), max_size=80)
+# random push / ack / drop / snapshot calls; ack flags the lost packets
+queue_ops = st.lists(st.one_of(
+    st.tuples(st.just("push"), st.integers(0, 60)),
+    st.tuples(st.just("ack"), st.lists(st.booleans(), max_size=43)),
+    st.tuples(st.just("drop"), st.integers(0, 43)),
+    st.tuples(st.just("snapshot"), st.none())), max_size=80)
 
 
 @settings(max_examples=200, deadline=None)
-@given(capacity=st.integers(1, 100), ops=_Ops.any)
+@given(capacity=st.integers(1, 100), ops=queue_ops)
 # overflow at capacity, then a push that compacts across the buffer's end
 @example(capacity=3, ops=[("push", 5), ("drop", 2), ("push", 2),
                           ("ack", [True, False]), ("push", 2),
