@@ -238,9 +238,10 @@ class Bss:
         self.snapshot = self.queue.snapshot_head()
         # packets left queued by the last cycle head the new snapshot and
         # keep their flags
-        seen = np.zeros(len(self.snapshot), dtype=bool)
-        seen[:len(self._sta_seen)] = self._sta_seen
-        self._sta_seen = seen
+        carry = self._sta_seen
+        self._sta_seen = np.zeros(len(self.snapshot), dtype=bool)
+        if len(carry):
+            self._sta_seen[:len(carry)] = carry
         self.metrics.cycles += 1
         self.state = CONTEND
         self._begin_contention(fresh=True)
@@ -429,9 +430,10 @@ class Bss:
         # an aborted snapshot stays queued with all its flags
         released = 0
         if outcome == SUCCESS:
+            lost = ~acked
             released = int(np.count_nonzero(acked))
-            self.queue.ack_head(~acked)
-            self._sta_seen = self._sta_seen[~acked]
+            self.queue.ack_head(lost)
+            self._sta_seen = self._sta_seen[lost]
             if self.beb:
                 self.cw = beb_next_cw(self.cw, success=True)
         elif outcome == FAILURE:

@@ -188,14 +188,18 @@ class PoissonSource(_RatedSource):
         if not self._held:
             return
         now = self._sim.now()
-        due = []
-        while self._times[self._i] <= now:
+        k = int(self._times.searchsorted(now, "right"))
+        if k == self._i:
+            return
+        due = self._times[self._i:k]
+        self._advance(k)
+        while self._times[self._i] <= now:    # due ones ran past the plan
             k = int(self._times.searchsorted(now, "right"))
-            due.append(self._times[self._i:k])
+            due = np.concatenate((due, self._times[self._i:k]))
             self._advance(k)
-        if due:
-            gens = np.repeat(np.concatenate(due), self.burst)
-            self.bss.queue.push(self.bss.make_packets(gens))
+        if self.burst > 1:
+            due = np.repeat(due, self.burst)
+        self.bss.queue.push(self.bss.make_packets(due))
 
     def on_idle(self):
         if self._held:
