@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eager import EagerPoissonSource, eager_sources
+from eager import eager_sources
 from wlansim import mac, phy, scenarios, traffic
 from wlansim.engine import MS, PLACEMENT_STREAM, rng_stream
 from wlansim.runner import RunParams, _dump_records, run_trial
