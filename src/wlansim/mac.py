@@ -15,15 +15,13 @@ draws and block acks are numpy arrays, so an A-MPDU's bookkeeping is a few
 array operations rather than a loop over its MPDUs.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import agents, engine
 from .engine import MS
-from .phy import (BA, BA_AIRTIME, CHANNEL_GROUPS, CTS, CTS_AIRTIME, DATA, DIFS,
-                  MAX_AMPDU_BYTES, PIFS, RTS, RTS_AIRTIME, SIFS, SLOT,
-                  Transmission, frame_airtime)
+from .phy import (BA_AIRTIME, CHANNEL_GROUPS, CTS_AIRTIME, DIFS,
+                  MAX_AMPDU_BYTES, RTS_AIRTIME, SIFS, SLOT, Transmission,
+                  frame_airtime)
 
 CW_MIN = 16
 CW_MAX = 1024
@@ -49,36 +47,6 @@ ABORTED = "aborted"
 # a response, if it comes at all, lands one slot before its timeout
 CTS_TIMEOUT = SIFS + CTS_AIRTIME + SLOT
 BA_TIMEOUT = SIFS + BA_AIRTIME + SLOT
-
-
-@dataclass
-class DcfConfig:
-    channels: tuple
-    primary: int
-    cw: int = CW_MIN
-    bonding: str = SCB
-    beb: bool = True
-
-    def validate(self):
-        if tuple(self.channels) not in CHANNEL_GROUPS:
-            raise ValueError(f"illegal channel group {self.channels}")
-        if self.primary not in self.channels:
-            raise ValueError(f"primary {self.primary} outside {self.channels}")
-        if self.cw not in agents.CW_VALUES:
-            raise ValueError(f"cw {self.cw} not a power of two in [16, 1024]")
-        if self.bonding not in (SCB, DCB):
-            raise ValueError(f"unknown bonding mode {self.bonding!r}")
-
-
-@dataclass
-class CycleRecord:
-    start: int
-    end: int
-    outcome: str
-
-    @property
-    def duration_ms(self):
-        return (self.end - self.start) / MS
 
 
 def legal_tx_sets(channels, primary):
@@ -159,12 +127,14 @@ class Bss:
     """One AP-STA pair: queue, DCF machine, optional learning agent.
 
     The AP drives everything; the STA only answers RTS with CTS and data
-    with a BlockACK, so both ends live in this one object.
+    with a BlockACK, so both ends live in this one object.  Without an
+    agent the AP keeps the given channels and primary and runs binary
+    exponential backoff from CW_MIN; an agent picks all three per cycle.
     """
 
-    def __init__(self, bss_id, sim, spectrum, config, metrics, rng_backoff,
-                 rng_per, mcs_by_width, agent=None, per=0.1):
-        config.validate()
+    def __init__(self, bss_id, sim, spectrum, metrics, rng_backoff, rng_per,
+                 mcs_by_width, bonding=SCB, channels=None, primary=None,
+                 agent=None, per=0.1):
         self.bss_id = bss_id
         self.sim = sim
         self.spectrum = spectrum
@@ -177,11 +147,10 @@ class Bss:
         self.ap_name = f"ap{bss_id}"
         self.sta_name = f"sta{bss_id}"
 
-        self.bonding = config.bonding
-        self.beb = config.beb
-        self.channels = tuple(config.channels)
-        self.primary = config.primary
-        self.cw = config.cw
+        self.bonding = bonding
+        self.channels = channels
+        self.primary = primary
+        self.cw = CW_MIN
 
         self.queue = TxQueue()
         self.traffic = None      # attached by the runner
@@ -299,17 +268,18 @@ class Bss:
             txset = dcb_transmit_set(self.channels, self.primary, busy)
         self.width_set = tuple(txset)
         self.state = TXOP
-        self._send_rts()
+        self._send(self.ap_name, RTS_AIRTIME, self._rts_end)
 
     # -- RTS / CTS / DATA / BA ladder --
 
-    def _send_rts(self):
+    def _send(self, node, airtime, on_end, payload=None):
+        """Put one frame from node on the air over the transmit set;
+        on_end(tx) runs when it leaves."""
         now = self.sim.now()
-        tx = Transmission(self.bss_id, self.ap_name, RTS, self.width_set,
-                          now, now + RTS_AIRTIME)
+        tx = Transmission(self.bss_id, self.width_set, now, now + airtime,
+                          payload)
         self.spectrum.add(tx, now)
-        self.sim.schedule(tx.end, engine.FRAME_END, self.ap_name,
-                          self._rts_end, tx)
+        self.sim.schedule(tx.end, engine.FRAME_END, node, on_end, tx)
 
     def _rts_end(self, tx):
         now = self.sim.now()
@@ -319,15 +289,8 @@ class Bss:
             self._attempt_failed)
         if not tx.corrupted:
             self.sim.schedule(now + SIFS, engine.FRAME_START, self.sta_name,
-                              self._send_cts)
-
-    def _send_cts(self):
-        now = self.sim.now()
-        tx = Transmission(self.bss_id, self.sta_name, CTS, self.width_set,
-                          now, now + CTS_AIRTIME)
-        self.spectrum.add(tx, now)
-        self.sim.schedule(tx.end, engine.FRAME_END, self.sta_name,
-                          self._cts_end, tx)
+                              self._send, self.sta_name, CTS_AIRTIME,
+                              self._cts_end)
 
     def _cts_end(self, tx):
         now = self.sim.now()
@@ -336,7 +299,9 @@ class Bss:
             self.sim.cancel(self.timeout_ev)
             self.timeout_ev = None
             self.sim.schedule(now + SIFS, engine.FRAME_START, self.ap_name,
-                              self._send_data)
+                              self._send, self.ap_name,
+                              self._data_airtime(len(self.snapshot)),
+                              self._data_end, self.snapshot)
 
     def _data_airtime(self, n_packets):
         width = 20 * len(self.width_set)
@@ -347,15 +312,6 @@ class Bss:
                                 self.mcs_by_width[width], width)
             self._airtime_cache[key] = air
         return air
-
-    def _send_data(self):
-        now = self.sim.now()
-        tx = Transmission(self.bss_id, self.ap_name, DATA, self.width_set, now,
-                          now + self._data_airtime(len(self.snapshot)),
-                          self.snapshot)
-        self.spectrum.add(tx, now)
-        self.sim.schedule(tx.end, engine.FRAME_END, self.ap_name,
-                          self._data_end, tx)
 
     def _data_end(self, tx):
         now = self.sim.now()
@@ -372,15 +328,8 @@ class Bss:
         self._sta_seen |= acked
         self.metrics.record_data_reception(now, now - self.snapshot[new])
         self.sim.schedule(now + SIFS, engine.FRAME_START, self.sta_name,
-                          self._send_ba, acked)
-
-    def _send_ba(self, acked):
-        now = self.sim.now()
-        tx = Transmission(self.bss_id, self.sta_name, BA, self.width_set,
-                          now, now + BA_AIRTIME, acked)
-        self.spectrum.add(tx, now)
-        self.sim.schedule(tx.end, engine.FRAME_END, self.sta_name,
-                          self._ba_end, tx)
+                          self._send, self.sta_name, BA_AIRTIME, self._ba_end,
+                          acked)
 
     def _ba_end(self, tx):
         self.spectrum.remove(tx, self.sim.now())
@@ -398,7 +347,7 @@ class Bss:
     def _attempt_failed(self):
         self.timeout_ev = None
         self.retries += 1
-        if self.beb:
+        if self.agent is None:
             self.cw = beb_next_cw(self.cw, success=False)
         if self.retries > RETRY_LIMIT:
             self._finish_cycle(FAILURE)
@@ -422,8 +371,7 @@ class Bss:
 
     def _finish_cycle(self, outcome, acked=None):
         now = self.sim.now()
-        if self.traffic is not None:
-            self.traffic.flush()   # arrivals due by now join the queue first
+        self.traffic.flush()   # arrivals due by now join the queue first
         if self.abort_ev is not None:
             self.sim.cancel(self.abort_ev)
             self.abort_ev = None
@@ -434,27 +382,26 @@ class Bss:
             released = int(np.count_nonzero(acked))
             self.queue.ack_head(lost)
             self._sta_seen = self._sta_seen[lost]
-            if self.beb:
+            if self.agent is None:
                 self.cw = beb_next_cw(self.cw, success=True)
         elif outcome == FAILURE:
             self.queue.drop_head(len(self.snapshot))
             self.metrics.retry_drops += len(self.snapshot)
             self._sta_seen = self._sta_seen[:0]
             released = len(self.snapshot)
-            if self.beb:
+            if self.agent is None:
                 self.cw = beb_next_cw(self.cw, success=True)  # fresh frame
         if self.agent is not None:
             reward = agents.compute_reward((now - self.cycle_start) / MS)
             self.agent.complete_cycle(reward)
             self.metrics.decisions.append(
                 (self.cycle_start, self._action_key, reward))
-        self.last_record = CycleRecord(self.cycle_start, now, outcome)
         self.snapshot = None
         self.state = IDLE
-        if released and self.traffic is not None:
+        if released:
             self.traffic.on_release(released, now)
         self.start_cycle()
-        if self.state == IDLE and self.traffic is not None:
+        if self.state == IDLE:
             self.traffic.on_idle()
 
 

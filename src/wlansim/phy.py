@@ -57,11 +57,6 @@ _CTRL_PREAMBLE = 20 * US
 _CTRL_SYMBOL = 4 * US
 _CTRL_BITS_PER_SYMBOL = 24
 
-RTS = "rts"
-CTS = "cts"
-DATA = "data"
-BA = "ba"
-
 
 def path_loss_db(distance_m):
     """Log-distance path loss, free-space intercept at 1 m, exponent 4."""
@@ -128,13 +123,10 @@ BA_AIRTIME = control_airtime(32)    # 68 us
 class Transmission:
     """One frame on the air, spanning a set of basic channels."""
 
-    __slots__ = ("bss", "src", "kind", "channels", "start", "end", "payload",
-                 "corrupted")
+    __slots__ = ("bss", "channels", "start", "end", "payload", "corrupted")
 
-    def __init__(self, bss, src, kind, channels, start, end, payload=None):
+    def __init__(self, bss, channels, start, end, payload=None):
         self.bss = bss
-        self.src = src
-        self.kind = kind
         self.channels = channels
         self.start = start
         self.end = end

@@ -43,6 +43,8 @@ class RunParams:
             raise ValueError(f"unknown architecture {self.arch!r}")
         if self.algo == "none" and self.static_channel not in range(1, 8):
             raise ValueError("algo=none needs a static channel label 1..7")
+        if self.bonding not in (None, mac.SCB, mac.DCB):
+            raise ValueError(f"unknown bonding mode {self.bonding!r}")
 
     def method(self):
         if self.algo == "none":
@@ -124,6 +126,7 @@ def run_trial(spec, params, trial, trace_file=None):
 
     trace_file, if given, receives one line per executed event.
     """
+    params.validate()
     duration = _duration_ns(spec, params)
     burn_in = int(round(spec.burn_in_s * SEC))
     bonding = params.bonding or spec.bonding
@@ -138,24 +141,21 @@ def run_trial(spec, params, trial, trace_file=None):
 
     bss_objs = {}
     for b in spec.bss:
-        m = metrics.BssMetrics(b.bss_id)
-        agent = None
-        if b.role == scenarios.LEARNING and params.algo != "none":
+        channels = primary = agent = None
+        if b.role == scenarios.LEGACY:
+            channels, primary = tuple(b.channels), b.primary
+        elif params.algo == "none":
+            channels = CHANNEL_GROUPS[params.static_channel - 1]
+            primary = channels[0]
+        else:
             agent = agents.make_controller(params.arch, params.algo,
                                            params.resolved_alpha())
-            config = mac.DcfConfig((1,), 1, mac.CW_MIN, bonding, beb=False)
-        elif b.role == scenarios.LEARNING:
-            group = CHANNEL_GROUPS[params.static_channel - 1]
-            config = mac.DcfConfig(group, group[0], mac.CW_MIN, bonding,
-                                   beb=True)
-        else:
-            config = mac.DcfConfig(tuple(b.channels), b.primary, mac.CW_MIN,
-                                   bonding, beb=True)
         bss = mac.Bss(
-            b.bss_id, sim, spectrum, config, m,
+            b.bss_id, sim, spectrum, metrics.BssMetrics(b.bss_id),
             rng_backoff=rng_stream(spec.seed, trial, b.bss_id, BACKOFF_STREAM),
             rng_per=rng_stream(spec.seed, trial, b.bss_id, PER_STREAM),
-            mcs_by_width=scenarios.link_mcs_by_width(b), agent=agent)
+            mcs_by_width=scenarios.link_mcs_by_width(b), bonding=bonding,
+            channels=channels, primary=primary, agent=agent)
         bss.traffic = traffic.make_source(
             assign[b.bss_id]["kind"], bss,
             rng_stream(spec.seed, trial, b.bss_id, TRAFFIC_STREAM),

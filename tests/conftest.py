@@ -9,9 +9,9 @@ import sys
 
 import numpy as np
 
-from wlansim import mac, metrics
+from wlansim import mac, metrics, traffic
 from wlansim.engine import Scheduler
-from wlansim.phy import DATA, SpectrumState, Transmission
+from wlansim.phy import SpectrumState, Transmission
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -80,21 +80,33 @@ class ListenerRecorder:
         self.events.append(("idle", channel, t))
 
 
-def build_cell(channels=(1,), primary=1, cw=16, bonding=mac.SCB, beb=True,
-               per=0.0, agent=None, draws=(), fill=0, bss_id=1,
-               sim=None, spectrum=None, trace=None):
-    """One AP-STA pair on its own (or a shared) spectrum.
+def build_cell(channels=(1,), primary=1, bonding=mac.SCB, per=0.0,
+               agent=None, draws=(), fill=0, bss_id=1, sim=None,
+               spectrum=None, trace=None):
+    """One AP-STA pair on its own (or a shared) spectrum, fed by a source
+    that offers nothing; tests push packets themselves.
 
-    Returns (sim, spectrum, bss); metrics hang off bss.metrics.
+    Returns (sim, spectrum, bss); metrics hang off bss.metrics, and
+    bss.cycle_log holds (outcome, start, end) of every finished cycle.
     """
     if sim is None:
         sim = Scheduler(trace=trace)
     if spectrum is None:
         spectrum = SpectrumState()
-    cfg = mac.DcfConfig(tuple(channels), primary, cw, bonding, beb)
-    bss = mac.Bss(bss_id, sim, spectrum, cfg, metrics.BssMetrics(bss_id),
+    bss = mac.Bss(bss_id, sim, spectrum, metrics.BssMetrics(bss_id),
                   rng_backoff=StubRng(draws, fill), rng_per=StubRng(),
-                  mcs_by_width=dict(MCS_TOP), agent=agent, per=per)
+                  mcs_by_width=dict(MCS_TOP), bonding=bonding,
+                  channels=tuple(channels), primary=primary, agent=agent,
+                  per=per)
+    bss.traffic = traffic._Source()
+    bss.cycle_log = []
+    finish = bss._finish_cycle
+
+    def logged_finish(outcome, acked=None):
+        bss.cycle_log.append((outcome, bss.cycle_start, sim.now()))
+        finish(outcome, acked)
+
+    bss._finish_cycle = logged_finish
     return sim, spectrum, bss
 
 
@@ -103,7 +115,7 @@ def foreign_frame(sim, spectrum, channels, start, end, bss_id=99):
 
     end=None leaves it on forever.  Returns the Transmission.
     """
-    tx = Transmission(bss_id, f"x{bss_id}", DATA, tuple(channels), start,
+    tx = Transmission(bss_id, tuple(channels), start,
                       end if end is not None else 1 << 62)
     if start <= sim.now():
         spectrum.add(tx, start)

@@ -18,7 +18,7 @@ from wlansim import mac
 from wlansim.agents import Action, compute_reward, make_controller
 from wlansim.engine import MS, US
 from wlansim.mac import (ABORTED, BA_TIMEOUT, CTS_TIMEOUT, CW_MAX, CW_MIN,
-                         DCB, PACKET_BYTES, DcfConfig, FAILURE, SCB, SUCCESS,
+                         DCB, PACKET_BYTES, FAILURE, SCB, SUCCESS,
                          TxQueue, beb_next_cw, dcb_transmit_set,
                          legal_tx_sets, scb_defers)
 from wlansim.phy import (BA_AIRTIME, BASIC_CHANNELS, CHANNEL_GROUPS,
@@ -30,19 +30,7 @@ EXCHANGE_20 = 310_400   # data airtime 98.4 us at MCS 11 / 20 MHz
 EXCHANGE_40 = 283_200   # data airtime 71.2 us at MCS 11 / 40 MHz
 
 
-# -- configuration and pure rules --
-
-def test_config_validation():
-    DcfConfig((1, 2), 1).validate()
-    with pytest.raises(ValueError):
-        DcfConfig((1, 3), 1).validate()
-    with pytest.raises(ValueError):
-        DcfConfig((1, 2), 3).validate()
-    with pytest.raises(ValueError):
-        DcfConfig((1,), 1, cw=48).validate()
-    with pytest.raises(ValueError):
-        DcfConfig((1,), 1, bonding="half").validate()
-
+# -- pure rules --
 
 def test_timeouts_cover_response_plus_one_slot():
     assert CTS_TIMEOUT == SIFS + CTS_AIRTIME + SLOT
@@ -221,11 +209,11 @@ def test_uncontended_cycle_timing():
     sim, _, bss = build_cell(draws=(5,))
     offer_packets(bss, 1)
     sim.run_until(1 * MS)
-    rec = bss.last_record
-    assert rec.outcome == SUCCESS
-    assert rec.start == 0
-    assert rec.end == 34_000 + 45_000 + EXCHANGE_20 == 389_400
-    assert rec.duration_ms == pytest.approx(0.3894)
+    outcome, start, end = bss.cycle_log[-1]
+    assert outcome == SUCCESS
+    assert start == 0
+    assert end == 34_000 + 45_000 + EXCHANGE_20 == 389_400
+    assert (end - start) / MS == pytest.approx(0.3894)
     assert list(bss.metrics.sample_t) == [305_400]   # data reception instant
     assert list(bss.metrics.sample_bits) == [12_000]
     assert list(bss.metrics.delay_ns) == [305_400]
@@ -237,11 +225,11 @@ def test_uncontended_cycle_timing():
 
 def test_learning_action_drives_the_cycle():
     agent = AgentStub(Action((3, 4), 4, 64))
-    sim, _, bss = build_cell(agent=agent, beb=False, draws=(60,))
+    sim, _, bss = build_cell(agent=agent, draws=(60,))
     offer_packets(bss, 1)
     sim.run_until(2 * MS)
     end = 34_000 + 60 * SLOT + EXCHANGE_40
-    assert bss.last_record.end == end == 857_200
+    assert bss.cycle_log[-1][2] == end == 857_200
     assert bss.width_set == (3, 4)
     assert agent.begun == 1
     assert agent.rewards == [pytest.approx(compute_reward(end / MS))]
@@ -259,7 +247,7 @@ def test_backoff_freezes_and_resumes_with_difs():
     # one whole slot elapsed idle before the interruption, nine remain;
     # resume waits DIFS after the channel clears
     access = 80_000 + 34_000 + 9 * SLOT
-    assert bss.last_record.end == access + EXCHANGE_20 == 505_400
+    assert bss.cycle_log[-1][2] == access + EXCHANGE_20 == 505_400
     assert list(bss.metrics.sample_t) == [access + EXCHANGE_20 - BA_AIRTIME - SIFS]
 
 
@@ -276,8 +264,8 @@ def test_slot_edge_arrival_transmits_into_collision():
     assert (52_000 + 52_000 + CTS_TIMEOUT, "ack_timeout", "ap1") in trace
     # retry completes after the foreign frame clears
     access = 300_000 + 34_000 + 3 * SLOT
-    assert bss.last_record.end == access + EXCHANGE_20 == 671_400
-    assert bss.last_record.outcome == SUCCESS
+    assert bss.cycle_log[-1][2] == access + EXCHANGE_20 == 671_400
+    assert bss.cycle_log[-1][0] == SUCCESS
 
 
 def test_two_aps_same_slot_collide_then_recover():
@@ -293,10 +281,10 @@ def test_two_aps_same_slot_collide_then_recover():
     assert {e[2] for e in timeouts} == {"ap1", "ap2"}
     # both RTS frames collided at 34 us; timeouts fire together, then the
     # scripted draws separate the retries
-    assert bss1.last_record.end == 483_400
-    assert bss2.last_record.end == 872_800
-    assert bss1.last_record.outcome == SUCCESS
-    assert bss2.last_record.outcome == SUCCESS
+    assert bss1.cycle_log[-1][2] == 483_400
+    assert bss2.cycle_log[-1][2] == 872_800
+    assert bss1.cycle_log[-1][0] == SUCCESS
+    assert bss2.cycle_log[-1][0] == SUCCESS
     assert bss1.metrics.acked_bytes == 1500
     assert bss2.metrics.acked_bytes == 1500
 
@@ -310,7 +298,7 @@ def test_scb_defers_until_secondary_clears():
     # accesses at 61/97/133/169/205 us all defer (the last still inside
     # PIFS history); the 241 us access clears and bonds the full 40 MHz
     assert bss.width_set == (3, 4)
-    assert bss.last_record.end == 241_000 + EXCHANGE_40 == 524_200
+    assert bss.cycle_log[-1][2] == 241_000 + EXCHANGE_40 == 524_200
     own = [span for span in spectrum.history[4] if span[2] == 1]
     assert min(s for s, _, _ in own) >= 200_000 + PIFS
 
@@ -322,8 +310,8 @@ def test_dcb_shrinks_to_primary_instead_of_deferring():
     offer_packets(bss, 1)
     sim.run_until(1 * MS)
     assert bss.width_set == (3,)
-    assert bss.last_record.end == 61_000 + EXCHANGE_20 == 371_400
-    assert bss.last_record.outcome == SUCCESS
+    assert bss.cycle_log[-1][2] == 61_000 + EXCHANGE_20 == 371_400
+    assert bss.cycle_log[-1][0] == SUCCESS
 
 
 def test_retry_exhaustion_drops_the_frame():
@@ -331,9 +319,9 @@ def test_retry_exhaustion_drops_the_frame():
     sim, _, bss = build_cell(per=1.0)
     offer_packets(bss, 1)
     sim.run_until(4 * MS)
-    rec = bss.last_record
-    assert rec.outcome == FAILURE
-    assert rec.end == 8 * (34_000 + EXCHANGE_20) == 2_755_200
+    outcome, _, end = bss.cycle_log[-1]
+    assert outcome == FAILURE
+    assert end == 8 * (34_000 + EXCHANGE_20) == 2_755_200
     assert bss.metrics.retry_drops == 1
     assert bss.metrics.acked_bytes == 0
     assert len(bss.queue) == 0
@@ -343,10 +331,10 @@ def test_retry_exhaustion_drops_the_frame():
 
 def test_learning_cw_is_agent_owned_not_beb():
     agent = AgentStub(Action((1,), 1, 16))
-    sim, _, bss = build_cell(agent=agent, beb=False, per=1.0)
+    sim, _, bss = build_cell(agent=agent, per=1.0)
     offer_packets(bss, 1)
     sim.run_until(4 * MS)
-    assert bss.last_record.outcome == FAILURE
+    assert bss.cycle_log[-1][0] == FAILURE
     assert bss.cw == 16    # untouched across all eight failed attempts
     # the failed cycle still pays its duration-based reward
     assert agent.rewards == [pytest.approx(compute_reward(2.7552))]
@@ -354,14 +342,15 @@ def test_learning_cw_is_agent_owned_not_beb():
 
 def test_abort_while_contending():
     agent = AgentStub(Action((2,), 2, 16))
-    sim, spectrum, bss = build_cell(agent=agent, beb=False, channels=(2,),
+    sim, spectrum, bss = build_cell(agent=agent, channels=(2,),
                                     primary=2)
     foreign_frame(sim, spectrum, (2,), 0, None)   # busy forever
     offer_packets(bss, 1)
     sim.run_until(12 * MS)
-    assert bss.last_record.outcome == ABORTED
-    assert bss.last_record.end == 10 * MS
-    assert bss.last_record.duration_ms == pytest.approx(10.0)
+    outcome, start, end = bss.cycle_log[-1]
+    assert outcome == ABORTED
+    assert end == 10 * MS
+    assert (end - start) / MS == pytest.approx(10.0)
     assert agent.rewards[0] == 0.0
     assert len(bss.queue) == 1       # the frame stays queued
     assert agent.begun == 2          # the next cycle began immediately
@@ -371,11 +360,11 @@ def test_abort_mid_exchange_terminates_after_the_attempt():
     # a huge scripted backoff pushes the exchange across the 10 ms mark;
     # the attempt resolves (all MPDUs error) and the cycle then aborts
     agent = AgentStub(Action((1,), 1, 1024))
-    sim, _, bss = build_cell(agent=agent, beb=False, per=1.0, draws=(1100,))
+    sim, _, bss = build_cell(agent=agent, per=1.0, draws=(1100,))
     offer_packets(bss, 1)
     sim.run_until(12 * MS)
-    assert bss.last_record.outcome == ABORTED
-    assert bss.last_record.end == 34_000 + 1100 * SLOT + EXCHANGE_20 == 10_244_400
+    assert bss.cycle_log[-1][0] == ABORTED
+    assert bss.cycle_log[-1][2] == 34_000 + 1100 * SLOT + EXCHANGE_20 == 10_244_400
     assert agent.rewards[0] == 0.0
     assert len(bss.queue) == 1
 
@@ -399,16 +388,16 @@ class ScriptedPer:
 
 def _lose_first_ba(sim, spectrum, bss):
     """Corrupt the first BlockACK with a foreign frame started beside it."""
-    send_ba = bss._send_ba
+    send = bss._send
     sent = []
 
-    def lossy(*args):
-        send_ba(*args)
-        if not sent:
+    def lossy(node, airtime, on_end, payload=None):
+        send(node, airtime, on_end, payload)
+        if on_end == bss._ba_end and not sent:
             sent.append(sim.now())
             foreign_frame(sim, spectrum, (1,), sim.now(), sim.now() + 1_000)
 
-    bss._send_ba = lossy
+    bss._send = lossy
     return sent
 
 
@@ -451,7 +440,7 @@ def test_abort_after_delivery_keeps_packets_seen():
     # the exchange crosses the 10 ms mark, delivers every MPDU, loses its
     # BA and aborts; the next cycle resends the same packets
     agent = AgentStub(Action((1,), 1, 1024))
-    sim, spectrum, bss = build_cell(agent=agent, beb=False, per=0.5,
+    sim, spectrum, bss = build_cell(agent=agent, per=0.5,
                                     draws=(1100,))
     bss.rng_per = ScriptedPer([DELIVERED] * 3, [DELIVERED] * 3)
     lost_ba = _lose_first_ba(sim, spectrum, bss)
@@ -462,7 +451,7 @@ def test_abort_after_delivery_keeps_packets_seen():
     t = list(bss.metrics.sample_t)
     assert _deliveries(bss.metrics) == [(t[0], 0), (t[0], 10), (t[0], 20)]
     assert list(bss.metrics.sample_bits) == [36_000, 0]
-    assert bss.last_record.outcome == SUCCESS
+    assert bss.cycle_log[-1][0] == SUCCESS
     assert len(bss.queue) == 0
 
 
@@ -478,7 +467,7 @@ def test_full_buffer_keeps_ampdus_maximal():
 
 def test_full_buffer_queue_utilization_at_decisions():
     agent = AgentStub(Action((1,), 1, 16))
-    sim, _, bss = build_cell(agent=agent, beb=False)
+    sim, _, bss = build_cell(agent=agent)
     bss.traffic = FullBufferSource(bss)
     bss.traffic.start(sim)
     sim.run_until(5 * MS)
@@ -496,8 +485,7 @@ def test_sensor_view_only_for_policies_that_read_it(algo, monkeypatch):
 
     sensor_view = mac.SensorView
     monkeypatch.setattr(mac, "SensorView", counting_view)
-    sim, _, bss = build_cell(agent=make_controller("sa", algo, 1.0),
-                             beb=False)
+    sim, _, bss = build_cell(agent=make_controller("sa", algo, 1.0))
     bss.traffic = FullBufferSource(bss)
     bss.traffic.start(sim)
     sim.run_until(5 * MS)

@@ -142,8 +142,8 @@ def test_control_frame_airtimes():
 
 # -- shared spectrum: collisions --
 
-def _tx(channels, start, end, bss=1, kind=phy.DATA):
-    return Transmission(bss, f"ap{bss}", kind, tuple(channels), start, end)
+def _tx(channels, start, end, bss=1):
+    return Transmission(bss, tuple(channels), start, end)
 
 
 def test_overlapping_transmissions_corrupt_each_other():

@@ -43,6 +43,16 @@ def test_params_validation_and_method():
     assert RunParams(algo="linucb", arch="sa").method() == "linucb-sa"
 
 
+def test_unknown_bonding_fails_before_run_json(tmp_path):
+    params = _params(bonding="half")
+    with pytest.raises(ValueError, match="unknown bonding mode 'half'"):
+        run_many(_short(), params, tmp_path / "r")
+    assert not (tmp_path / "r" / "run.json").exists()
+    # direct callers such as tuning keep the guard
+    with pytest.raises(ValueError, match="unknown bonding mode 'half'"):
+        run_trial(_short(), params, trial=0)
+
+
 def test_tuned_alpha_defaults():
     assert RunParams(algo="ucb", arch="sa").resolved_alpha() == 1.09
     assert RunParams(algo="ucb", arch="ma").resolved_alpha() == 1.14

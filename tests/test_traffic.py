@@ -7,7 +7,7 @@ from conftest import MCS_TOP
 from wlansim import mac, metrics, phy
 from wlansim.engine import (BACKOFF_STREAM, MS, PER_STREAM, SEC, Scheduler,
                             TRAFFIC_STREAM, rng_stream)
-from wlansim.mac import PACKET_BYTES, DcfConfig, TxQueue
+from wlansim.mac import PACKET_BYTES, TxQueue
 from wlansim.traffic import (BURST_PACKETS, FullBufferSource, PoissonSource,
                              VrSource, make_source, max_theoretical_goodput)
 
@@ -56,11 +56,11 @@ def test_saturated_cell_approaches_the_bound():
     # percent of the analytic cycle average
     sim = Scheduler()
     spectrum = phy.SpectrumState()
-    bss = mac.Bss(1, sim, spectrum, DcfConfig((1,), 1),
-                  metrics.BssMetrics(1),
+    bss = mac.Bss(1, sim, spectrum, metrics.BssMetrics(1),
                   rng_backoff=rng_stream(11, 0, 1, BACKOFF_STREAM),
                   rng_per=rng_stream(11, 0, 1, PER_STREAM),
-                  mcs_by_width=dict(MCS_TOP), per=0.0)
+                  mcs_by_width=dict(MCS_TOP), channels=(1,), primary=1,
+                  per=0.0)
     bss.traffic = FullBufferSource(bss)
     bss.traffic.start(sim)
     sim.run_until(5 * SEC)
