@@ -21,9 +21,6 @@ from .phy import CHANNEL_GROUPS, GROUP_LABEL, SpectrumState
 
 SCHEMA = 1
 
-# the SP2 load schedule: three distinct underloaded APs, then one repeat
-N_INTERVALS = 4
-
 
 @dataclass
 class RunParams:
@@ -81,7 +78,7 @@ def _trial_assignments(spec, trial):
         first3 = [legacy[int(i)] for i in picks]
         under = [*first3, first3[int(rng.integers(0, 3))]]
         per_interval = []
-        for k in range(N_INTERVALS):
+        for k in range(scenarios.N_INTERVALS):
             loads, rates = {}, {}
             for b in spec.bss:
                 if b.role != scenarios.LEGACY:
@@ -103,31 +100,13 @@ def _trial_assignments(spec, trial):
     return assign, schedule
 
 
-def _duration_ns(spec, params):
-    """Effective trial duration; it must outlast the burn-in and, under a
-    load schedule, may not outrun the schedule."""
-    duration = int(round((params.duration_s or spec.duration_s) * SEC))
-    if spec.interval_s:
-        iv = int(round(spec.interval_s * SEC))
-        if duration > N_INTERVALS * iv:
-            raise ValueError(
-                f"duration {duration / SEC:g} s exceeds the {N_INTERVALS} "
-                f"load intervals of {spec.interval_s:g} s")
-    if duration <= int(round(spec.burn_in_s * SEC)):
-        # the goodput window would be empty, the first interval inverted
-        raise ValueError(
-            f"duration {duration / SEC:g} s does not outlast the "
-            f"burn-in of {spec.burn_in_s:g} s")
-    return duration
-
-
 def run_trial(spec, params, trial, trace_file=None):
     """Execute one trial; returns the list of result records.
 
     trace_file, if given, receives one line per executed event.
     """
     params.validate()
-    duration = _duration_ns(spec, params)
+    duration = spec.duration_ns(params.duration_s)
     burn_in = int(round(spec.burn_in_s * SEC))
     bonding = params.bonding or spec.bonding
     if trace_file is not None:
@@ -171,7 +150,7 @@ def run_trial(spec, params, trial, trace_file=None):
             for bid, rate in schedule["intervals"][k]["rates"].items():
                 bss_objs[bid].traffic.set_rate(rate, sim)
 
-        for k in range(1, N_INTERVALS):
+        for k in range(1, scenarios.N_INTERVALS):
             sim.schedule(k * iv, INTERVAL, "schedule", apply_interval, k)
 
     sim.run_until(duration)
@@ -272,7 +251,7 @@ def run_many(spec, params, out_dir, workers=1, trace=False):
     """Run all trials, write one JSONL file per trial plus a summary."""
     params.validate()
     spec.validate()
-    _duration_ns(spec, params)
+    spec.duration_ns(params.duration_s)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_trials = params.trials or spec.trials

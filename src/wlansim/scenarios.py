@@ -3,14 +3,16 @@
 Each scenario is a declarative ScenarioSpec: a list of BSS definitions plus
 run-level settings.  Positions are drawn once per scenario seed (not per
 trial) with rejection sampling until every AP-STA link supports MCS 11 at
-80 MHz, and every node pair sits within carrier-sensing range.
+80 MHz.  The spectrum model has every node hear every frame, so validate()
+rejects a placement with a node pair outside carrier-sensing range; the
+placement area's diagonal lies well inside it.
 """
 
 import math
 from dataclasses import asdict, dataclass, fields
 
 from . import phy
-from .engine import PLACEMENT_STREAM, rng_stream
+from .engine import PLACEMENT_STREAM, SEC, rng_stream
 
 LEARNING = "learning"
 LEGACY = "legacy"
@@ -19,6 +21,13 @@ AREA = (10.0, 10.0, 2.0)
 
 # traffic kinds drawn at trial build when a spec says "random"
 RANDOM_KINDS = ("poisson", "bursty", "vr")
+
+# the SP2 load schedule: three distinct underloaded APs, then one repeat
+N_INTERVALS = 4
+
+# below this a source offers under one packet per 18 s at any reference
+# width; far below it, its arrival gaps in ns overrun int64
+MIN_LOAD = 1e-6
 
 
 @dataclass
@@ -30,10 +39,20 @@ class TrafficSpec:
     def validate(self):
         if self.kind not in ("full_buffer", "random", *RANDOM_KINDS):
             raise ValueError(f"unknown traffic kind {self.kind!r}")
-        if self.kind != "full_buffer" and self.load is None:
-            raise ValueError(f"{self.kind} traffic needs a load")
+        if self.kind != "full_buffer" and not _is_load(self.load):
+            raise ValueError(f"traffic kind {self.kind!r} needs a load of at "
+                             f"least {MIN_LOAD:g} or a [lo, hi] range of them, "
+                             f"got {self.load!r}")
         if self.width_ref_mhz not in (20, 40, 80):
-            raise ValueError(f"bad reference width {self.width_ref_mhz}")
+            raise ValueError(f"width_ref_mhz {self.width_ref_mhz!r} is not "
+                             f"20, 40 or 80")
+
+
+def _is_load(load):
+    """A fraction of at least MIN_LOAD, or a (lo, hi) range of them."""
+    bounds = load if isinstance(load, tuple) and len(load) == 2 else (load,)
+    return (all(isinstance(x, (int, float)) and x >= MIN_LOAD for x in bounds)
+            and bounds[0] <= bounds[-1])
 
 
 TRAFFIC_KEYS = {f.name for f in fields(TrafficSpec)}
@@ -62,10 +81,12 @@ class BssSpec:
         if self.role not in (LEARNING, LEGACY):
             raise ValueError(f"unknown role {self.role!r}")
         if self.role == LEGACY:
-            if tuple(self.channels) not in phy.CHANNEL_GROUPS:
-                raise ValueError(f"illegal group {self.channels}")
+            if tuple(self.channels or ()) not in phy.CHANNEL_GROUPS:
+                raise ValueError(f"BSS {self.bss_id} channels {self.channels} "
+                                 f"are not a legal group")
             if self.primary not in self.channels:
-                raise ValueError(f"primary {self.primary} outside {self.channels}")
+                raise ValueError(f"BSS {self.bss_id} primary {self.primary} "
+                                 f"outside channels {self.channels}")
         self.traffic.validate()
 
 
@@ -79,7 +100,6 @@ class ScenarioSpec:
     burn_in_s: float = 2.0
     trials: int = 20
     interval_s: float = None   # 15.0 enables the 4-interval load schedule
-    area: tuple = AREA
 
     def validate(self):
         if not self.bss:
@@ -88,6 +108,13 @@ class ScenarioSpec:
             b.validate()
         if self.bonding not in ("scb", "dcb"):
             raise ValueError(f"unknown bonding mode {self.bonding!r}")
+        times = {"duration_s": self.duration_s, "burn_in_s": self.burn_in_s}
+        if self.interval_s is not None:
+            times["interval_s"] = self.interval_s
+        for name, value in times.items():
+            if not (isinstance(value, (int, float)) and value >= 0):
+                raise ValueError(f"{name} must be a number of seconds >= 0, "
+                                 f"got {value!r}")
         if self.interval_s and len(self.legacy_ids()) < 3:
             # the load schedule underloads three distinct legacy APs
             raise ValueError(f"interval_s needs at least 3 legacy BSSs, "
@@ -96,6 +123,45 @@ class ScenarioSpec:
             # the burn-in may trim the first interval's window, not empty it
             raise ValueError(f"burn_in_s {self.burn_in_s:g} must be shorter "
                              f"than interval_s {self.interval_s:g}")
+        self.duration_ns()
+        self._check_placement()
+
+    def duration_ns(self, duration_s=None):
+        """The run's duration, duration_s overriding the spec's own.  It
+        must outlast the burn-in and, under a load schedule, may not outrun
+        the schedule."""
+        duration = int(round((duration_s or self.duration_s) * SEC))
+        if self.interval_s:
+            iv = int(round(self.interval_s * SEC))
+            if duration > N_INTERVALS * iv:
+                raise ValueError(
+                    f"duration {duration / SEC:g} s exceeds the {N_INTERVALS} "
+                    f"load intervals of {self.interval_s:g} s")
+        if duration <= int(round(self.burn_in_s * SEC)):
+            # the goodput window would be empty, the first interval inverted
+            raise ValueError(
+                f"duration {duration / SEC:g} s does not outlast the "
+                f"burn-in of {self.burn_in_s:g} s")
+        return duration
+
+    def _check_placement(self):
+        """Every link decodes at every width; every node hears every other."""
+        nodes = []
+        for b in self.bss:
+            try:
+                link_mcs_by_width(b)
+            except ValueError as exc:
+                raise ValueError(f"BSS {b.bss_id} link from ap_pos to sta_pos "
+                                 f"does not decode: {exc}") from None
+            nodes += [(f"BSS {b.bss_id} ap_pos", b.ap_pos),
+                      (f"BSS {b.bss_id} sta_pos", b.sta_pos)]
+        for i, (name_a, a) in enumerate(nodes):
+            for name_b, b in nodes[i + 1:]:
+                d = _distance(a, b)
+                if d > _SENSE_RANGE_M:
+                    raise ValueError(
+                        f"{name_a} and {name_b} are {d:.1f} m apart, beyond "
+                        f"the {_SENSE_RANGE_M:.1f} m sensing range")
 
     def learning_ids(self):
         return [b.bss_id for b in self.bss if b.role == LEARNING]
@@ -109,7 +175,6 @@ class ScenarioSpec:
             for k in ("channels", "ap_pos", "sta_pos"):
                 if b[k] is not None:
                     b[k] = list(b[k])
-        d["area"] = list(d["area"])
         return d
 
     @classmethod
@@ -133,7 +198,7 @@ class ScenarioSpec:
             spec = cls(name=d["name"], seed=d["seed"], bss=bss,
                        bonding=d["bonding"], duration_s=d["duration_s"],
                        burn_in_s=d["burn_in_s"], trials=d["trials"],
-                       interval_s=d["interval_s"], area=tuple(d["area"]))
+                       interval_s=d["interval_s"])
         except KeyError as exc:
             raise ValueError(f"scenario config lacks key {exc}") from None
         spec.validate()
@@ -152,24 +217,19 @@ def _distance(a, b):
     return math.dist(a, b)
 
 
-def draw_positions(rng, n_bss, area=AREA):
-    """AP/STA placements with every link inside MCS-11-at-80-MHz range."""
+def draw_positions(rng, n_bss):
+    """AP/STA placements in AREA with every link inside MCS-11-at-80-MHz
+    range."""
     max_link = phy.mcs_range_m(11, 80)
     out = []
     for _ in range(n_bss):
-        ap = tuple(float(rng.uniform(0, dim)) for dim in area)
+        ap = tuple(float(rng.uniform(0, dim)) for dim in AREA)
         while True:
-            sta = tuple(float(rng.uniform(0, dim)) for dim in area)
+            sta = tuple(float(rng.uniform(0, dim)) for dim in AREA)
             d = _distance(ap, sta)
             if 0.0 < d <= max_link:
                 break
         out.append((ap, sta))
-    nodes = [p for pair in out for p in pair]
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1:]:
-            # default area keeps everyone in mutual sensing range
-            if _distance(a, b) > _SENSE_RANGE_M:
-                raise AssertionError("node pair outside sensing range")
     return out
 
 
@@ -250,8 +310,7 @@ def build_deployment(seed, n_legacy, duration_s):
 
 
 def _place(spec, rng):
-    for b, (ap, sta) in zip(spec.bss, draw_positions(rng, len(spec.bss),
-                                                     spec.area)):
+    for b, (ap, sta) in zip(spec.bss, draw_positions(rng, len(spec.bss))):
         b.ap_pos = ap
         b.sta_pos = sta
 

@@ -7,7 +7,7 @@ import pytest
 
 from wlansim import cli, scenarios, tuning
 from wlansim.engine import SEC
-from wlansim.runner import (RunParams, _dump_records, _duration_ns,
+from wlansim.runner import (RunParams, _dump_records,
                             _trial_assignments, load_records, run_many,
                             run_trial, summarize)
 
@@ -287,6 +287,7 @@ def test_cli_duration_within_the_burn_in_fails_fast(tmp_path, capsys):
     spec = scenarios.build_scenario("sp2", seed=3)
     spec.interval_s = 0.25
     spec.burn_in_s = 0.2
+    spec.duration_s = 1.0     # the config's own run fits the schedule
     cfg = tmp_path / "sp2-short.json"
     cfg.write_text(json.dumps(spec.to_dict()))
     out = tmp_path / "runs"
@@ -314,7 +315,7 @@ def test_cli_duration_within_the_burn_in_fails_fast_without_a_schedule(
 def test_tuning_deployments_outlast_their_burn_in():
     for spec in tuning.deployment_grid(3):
         assert spec.burn_in_s < spec.duration_s
-        _duration_ns(spec, RunParams(algo="ucb", arch="sa"))
+        spec.duration_ns(RunParams(algo="ucb", arch="sa").duration_s)
 
 
 @pytest.mark.parametrize("burn_in_s", [0.25, 0.5])
@@ -382,6 +383,7 @@ def test_duration_past_the_load_schedule_fails_fast(tmp_path, capsys):
     spec = scenarios.build_scenario("sp2", seed=5)
     spec.interval_s = 0.5
     spec.burn_in_s = 0.0
+    spec.duration_s = 2.0     # the config's own run fits the schedule
     params = RunParams(algo="none", static_channel=2, trials=1,
                        duration_s=2.6)
     with pytest.raises(ValueError, match="load intervals"):
@@ -398,4 +400,4 @@ def test_duration_past_the_load_schedule_fails_fast(tmp_path, capsys):
     assert rc == 1
     assert "load intervals" in capsys.readouterr().err
     params.duration_s = 2.0
-    assert _duration_ns(spec, params) == 2 * SEC
+    assert spec.duration_ns(params.duration_s) == 2 * SEC

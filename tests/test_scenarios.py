@@ -1,16 +1,19 @@
 """Scenario catalog, placement, and spec round-tripping."""
 
+import copy
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from wlansim import phy
-from wlansim.engine import PLACEMENT_STREAM, rng_stream
+from wlansim import cli, phy
+from wlansim.runner import RunParams, run_trial
 from wlansim.scenarios import (SCENARIO_NAMES, BssSpec, ScenarioSpec,
                                TrafficSpec, build_deployment, build_scenario,
-                               draw_positions, link_mcs_by_width)
+                               link_mcs_by_width)
 
 
 def test_catalog_names_all_build():
@@ -89,10 +92,39 @@ def test_links_support_top_mcs_at_80():
             assert link_mcs_by_width(b) == {20: 11, 40: 11, 80: 11}
 
 
-def test_draw_positions_sense_range_guard():
-    rng = rng_stream(1, 0, 0, PLACEMENT_STREAM)
-    with pytest.raises(AssertionError):
-        draw_positions(rng, 2, area=(500.0, 500.0, 2.0))
+def _misplace(spec, fault):
+    """One placement fault: BSS 1's STA 200 m from its AP ("far") or on it
+    ("coincident"), or BSS 2 moved 40 m off, out of everyone's sensing
+    range ("deaf")."""
+    b1, b2 = spec.bss[0], spec.bss[1]
+    if fault == "far":
+        b1.sta_pos = (b1.ap_pos[0] + 200.0, *b1.ap_pos[1:])
+    elif fault == "coincident":
+        b1.sta_pos = b1.ap_pos
+    else:
+        b2.ap_pos = (b2.ap_pos[0] + 40.0, *b2.ap_pos[1:])
+        b2.sta_pos = (b2.sta_pos[0] + 40.0, *b2.sta_pos[1:])
+    return spec
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("far", "BSS 1 link from ap_pos to sta_pos does not decode"),
+    ("coincident", "BSS 1 link from ap_pos to sta_pos does not decode"),
+    ("deaf", "BSS 1 ap_pos and BSS 2 ap_pos are .* beyond the 24.5 m "
+             "sensing range"),
+])
+def test_validate_rejects_bad_placement(tmp_path, capsys, fault, message):
+    spec = _misplace(build_scenario("sp1", seed=1), fault)
+    with pytest.raises(ValueError, match=message):
+        spec.validate()
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(spec.to_dict()))
+    out = tmp_path / "runs"
+    rc = cli.main(["run", "--config", str(cfg), "--algo", "none",
+                   "--channel", "2", "--trials", "1", "--out", str(out)])
+    assert rc == 1
+    assert "BSS 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_round_trip_through_json():
@@ -128,8 +160,13 @@ def test_spec_validation_rejects_bad_layouts():
     with pytest.raises(ValueError):
         TrafficSpec("poisson", None).validate()
     with pytest.raises(ValueError):
+        TrafficSpec("poisson", 5e-324).validate()   # gaps past int64 ns
+    with pytest.raises(ValueError):
         BssSpec(1, "legacy", TrafficSpec("full_buffer"),
                 channels=(2, 3), primary=2).validate()
+    with pytest.raises(ValueError):
+        BssSpec(1, "legacy", TrafficSpec("full_buffer"),
+                channels=(1, 2), primary=3).validate()
     with pytest.raises(ValueError):
         spec = build_scenario("sp1", seed=1)
         spec.bonding = "wide"
@@ -145,3 +182,81 @@ def test_shipped_config_matches_catalog(name):
     shipped = json.loads((CONFIGS / f"{name}.json").read_text())
     built = build_scenario(name, shipped["seed"]).to_dict()
     assert shipped == json.loads(json.dumps(built))
+
+
+SHIPPED = {name: json.loads((CONFIGS / f"{name}.json").read_text())
+           for name in SCENARIO_NAMES}
+TIMES = ("burn_in_s", "interval_s", "duration_s")
+FIELDS = ("ap_pos", "sta_pos", "channels", "primary", "bonding", "kind",
+          "load", "width_ref_mhz", *TIMES)
+
+coordinate = st.floats(-20.0, 40.0)
+fraction = st.floats(-0.5, 1.5)
+FIELD_VALUES = {
+    "ap_pos": st.one_of(st.lists(coordinate, min_size=3, max_size=3),
+                        st.none(), st.just([1.0, 2.0]), st.just("here")),
+    "channels": st.one_of(st.none(), st.lists(st.integers(0, 5),
+                                              max_size=4)),
+    "primary": st.one_of(st.none(), st.integers(0, 5)),
+    "bonding": st.sampled_from(["scb", "dcb", "half", None]),
+    "kind": st.sampled_from(["full_buffer", "random", "poisson", "bursty",
+                             "vr", "cbr", None]),
+    "load": st.one_of(st.none(), fraction, st.lists(fraction, max_size=3),
+                      st.just("half")),
+    "width_ref_mhz": st.sampled_from([20, 40, 80, 160, 0, None]),
+    **{t: st.one_of(st.none(), st.floats(-0.01, 0.03)) for t in TIMES},
+}
+FIELD_VALUES["sta_pos"] = FIELD_VALUES["ap_pos"]
+
+
+def _shipped(name, burn_in_s):
+    """A shipped config, cut so that a run lasts 10 ms past its burn-in."""
+    d = copy.deepcopy(SHIPPED[name])
+    d["burn_in_s"] = burn_in_s
+    d["duration_s"] = burn_in_s + 0.01
+    return d
+
+
+def _change(d, field, value, bss=0):
+    """(d, field) with field set to value, in the run or in BSS index bss."""
+    b = d["bss"][bss]
+    if field in ("bonding", *TIMES):
+        d[field] = value
+    elif field in ("kind", "load", "width_ref_mhz"):
+        b["traffic"][field] = value
+    else:
+        b[field] = value
+    return d, field
+
+
+@st.composite
+def scenario_dicts(draw):
+    """A shipped config with one field changed."""
+    d = _shipped(draw(st.sampled_from(SCENARIO_NAMES)),
+                 draw(st.sampled_from([0.0, 0.005, 0.01])))
+    field = draw(st.sampled_from(FIELDS))
+    return _change(d, field, draw(FIELD_VALUES[field]),
+                   draw(st.integers(0, len(d["bss"]) - 1)))
+
+
+PARAMS = [RunParams(algo="none", static_channel=7),
+          RunParams(algo="ucb", arch="sa"),
+          RunParams(algo="linucb", arch="ma")]
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=scenario_dicts(), params=st.sampled_from(PARAMS))
+# a run that ends with its burn-in, and one that outruns its load schedule
+@example(case=_change(_shipped("sp1", 0.005), "duration_s", 0.005),
+         params=PARAMS[0])
+@example(case=_change(_shipped("sp2", 0.0), "interval_s", 0.002),
+         params=PARAMS[0])
+def test_accepted_dicts_run_and_rejected_ones_name_the_field(case, params):
+    d, field = case
+    try:
+        spec = ScenarioSpec.from_dict(d)
+    except ValueError as exc:
+        # a time is named by its first word: "duration", "burn", "interval"
+        assert (field.split("_")[0] if field in TIMES else field) in str(exc)
+        return
+    run_trial(spec, params, trial=0)
