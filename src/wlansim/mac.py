@@ -5,7 +5,11 @@ One transmission cycle, which is also one learning round, runs:
     DIFS + backoff -> PIFS gate on secondaries (SCB defer / DCB shrink)
     -> RTS .. SIFS .. CTS .. SIFS .. A-MPDU .. SIFS .. BlockACK
 
-Missing or corrupted responses surface as timeouts; retries re-enter
+Once the RTS gets through, each frame of the exchange leaves its channels
+held (see phy), so other contenders stay frozen across the SIFS gaps, as
+the NAV would keep them.  The BlockACK end or a corrupted frame releases
+the hold.  Only a corrupted frame sets a response timeout, for the instant
+a timeout armed at the previous frame's end would fire; retries re-enter
 contention carrying the same A-MPDU snapshot, up to the retry limit.
 Learning APs additionally force-terminate a cycle that has not finished
 within D_max and report the elapsed duration to their agent.
@@ -143,6 +147,8 @@ class Bss:
         self.rng_per = rng_per
         self.mcs_by_width = mcs_by_width
         self.agent = agent
+        if agent is not None and agent.needs_context:
+            spectrum.observe(bss_id)
         self.per = per
         self.ap_name = f"ap{bss_id}"
         self.sta_name = f"sta{bss_id}"
@@ -165,7 +171,6 @@ class Bss:
         self.slot_base = 0
         self.frozen = False
         self.pending = None      # armed backoff-completion event
-        self.timeout_ev = None
         self.abort_ev = None
         self.abort_pending = False
         self._action_key = ""
@@ -281,23 +286,27 @@ class Bss:
         self.spectrum.add(tx, now)
         self.sim.schedule(tx.end, engine.FRAME_END, node, on_end, tx)
 
+    def _time_out(self, at):
+        self.sim.schedule(at, engine.ACK_TIMEOUT, self.ap_name,
+                          self._attempt_failed)
+
     def _rts_end(self, tx):
         now = self.sim.now()
-        self.spectrum.remove(tx, now)
-        self.timeout_ev = self.sim.schedule(
-            now + CTS_TIMEOUT, engine.ACK_TIMEOUT, self.ap_name,
-            self._attempt_failed)
-        if not tx.corrupted:
+        self.spectrum.remove(tx, now, hold=not tx.corrupted)
+        if tx.corrupted:
+            self._time_out(now + CTS_TIMEOUT)
+        else:
             self.sim.schedule(now + SIFS, engine.FRAME_START, self.sta_name,
                               self._send, self.sta_name, CTS_AIRTIME,
                               self._cts_end)
 
     def _cts_end(self, tx):
         now = self.sim.now()
-        self.spectrum.remove(tx, now)
-        if not tx.corrupted:
-            self.sim.cancel(self.timeout_ev)
-            self.timeout_ev = None
+        self.spectrum.remove(tx, now, hold=not tx.corrupted)
+        if tx.corrupted:
+            # the CTS timeout runs from the RTS end, one SIFS before the CTS
+            self._time_out(tx.start - SIFS + CTS_TIMEOUT)
+        else:
             self.sim.schedule(now + SIFS, engine.FRAME_START, self.ap_name,
                               self._send, self.ap_name,
                               self._data_airtime(len(self.snapshot)),
@@ -315,11 +324,9 @@ class Bss:
 
     def _data_end(self, tx):
         now = self.sim.now()
-        self.spectrum.remove(tx, now)
-        self.timeout_ev = self.sim.schedule(
-            now + BA_TIMEOUT, engine.ACK_TIMEOUT, self.ap_name,
-            self._attempt_failed)
+        self.spectrum.remove(tx, now, hold=not tx.corrupted)
         if tx.corrupted:
+            self._time_out(now + BA_TIMEOUT)
             return
         # STA side: per-MPDU error draws, first-delivery delays, then a BA
         # whose payload is the ack mask
@@ -334,10 +341,9 @@ class Bss:
     def _ba_end(self, tx):
         self.spectrum.remove(tx, self.sim.now())
         if tx.corrupted:
-            return
-        self.sim.cancel(self.timeout_ev)
-        self.timeout_ev = None
-        if tx.payload.any():
+            # the BA timeout runs from the data end, one SIFS before the BA
+            self._time_out(tx.start - SIFS + BA_TIMEOUT)
+        elif tx.payload.any():
             self._finish_cycle(SUCCESS, tx.payload)
         else:
             self._attempt_failed()
@@ -345,7 +351,6 @@ class Bss:
     # -- failure / abort / completion --
 
     def _attempt_failed(self):
-        self.timeout_ev = None
         self.retries += 1
         if self.agent is None:
             self.cw = beb_next_cw(self.cw, success=False)

@@ -4,6 +4,13 @@ Covers propagation, MCS selection, PHY rates and airtimes, plus the shared
 SpectrumState that every DCF state machine senses and transmits through.
 Two busy views exist on purpose: deferral sensing counts everything on the
 air, while the learning features F1/F2 exclude the observer's own BSS.
+
+Deferral sensing also honours a hold.  Once an RTS gets through, the frames
+of its exchange follow each other one SIFS apart, and no contender may take
+the channel in between: like the NAV (network allocation vector) that real
+stations set from the RTS duration field, a held channel stays busy across
+each SIFS gap.  Only a BSS registered with observe() keeps the foreign
+occupancy history the learning features read.
 """
 
 import math
@@ -134,23 +141,58 @@ class Transmission:
         self.corrupted = False
 
 
+class _MergedSpans(deque):
+    """Disjoint busy spans (start, end) in time order, and their summed
+    length in ns."""
+
+    __slots__ = ("total",)
+
+    def __init__(self):
+        super().__init__()
+        self.total = 0
+
+    def add(self, start, end):
+        """Merge in a span that ends at or after every span held."""
+        while self and self[-1][1] >= start:
+            s, e = self.pop()
+            self.total -= e - s
+            start = min(start, s)
+        self.append((start, end))
+        self.total += end - start
+
+    def expire(self, horizon):
+        """Drop the spans that ended at or before horizon."""
+        while self and self[0][1] <= horizon:
+            s, e = self.popleft()
+            self.total -= e - s
+
+
 class SpectrumState:
     """Shared view of the four basic channels.
 
-    Tracks active transmissions, per-channel busy history for the occupancy
-    features, and subscriber lists so contending nodes hear busy/idle edges
-    on their primary channel.  Each frame end drops the history spans that
-    ended a full window ago, so history stays bounded by the window whether
-    or not anyone reads the occupancy.
+    Tracks active transmissions, held channels, and subscriber lists so
+    contending nodes hear busy/idle edges on their primary channel.  For
+    each (channel, observer) pair, history holds the merged spans of the
+    frames from other BSSs that left the channel within the last window;
+    each frame end merges in at the right and expires at the left, so a
+    read touches only the spans that expire or overlap a frame still on
+    the air.
     """
 
     def __init__(self, window=100 * MS):
         self.window = window
         self.active = {c: set() for c in BASIC_CHANNELS}
         self.last_busy_end = {c: 0 for c in BASIC_CHANNELS}
-        # per channel: (start, end, bss) in end-time order
-        self.history = {c: deque() for c in BASIC_CHANNELS}
+        self.held = set()        # channels kept busy across a SIFS gap
+        self.observers = []
+        self.history = {}
         self._listeners = {c: [] for c in BASIC_CHANNELS}
+
+    def observe(self, bss):
+        """Keep foreign occupancy for bss from now on; call before the run."""
+        self.observers.append(bss)
+        for c in BASIC_CHANNELS:
+            self.history[(c, bss)] = _MergedSpans()
 
     def subscribe(self, channel, listener):
         self._listeners[channel].append(listener)
@@ -159,39 +201,50 @@ class SpectrumState:
         self._listeners[channel].remove(listener)
 
     def add(self, tx, now):
-        """Put a frame on the air; overlapping frames corrupt each other."""
+        """Put a frame on the air; overlapping frames corrupt each other.
+
+        The first frame on a held channel takes the hold over: listeners
+        heard no idle edge, so they hear no busy edge either."""
         for c in tx.channels:
             chan_active = self.active[c]
             if chan_active:
                 for other in chan_active:
                     other.corrupted = True
                 tx.corrupted = True
-                chan_active.add(tx)
+            elif c in self.held:
+                self.held.discard(c)
             else:
-                chan_active.add(tx)
                 for listener in tuple(self._listeners[c]):
                     listener.primary_busy(c, now)
+            chan_active.add(tx)
 
-    def remove(self, tx, now):
+    def remove(self, tx, now, hold=False):
+        """Take a frame off the air.  With hold, a channel it leaves empty
+        stays busy to deferral sensing until the next frame starts on it."""
+        expired = now - self.window
         for c in tx.channels:
             self.active[c].discard(tx)
             self.last_busy_end[c] = now
-            hist = self.history[c]
-            hist.append((tx.start, now, tx.bss))
-            while hist[0][1] <= now - self.window:
-                hist.popleft()
+            for observer in self.observers:
+                if observer != tx.bss:
+                    spans = self.history[(c, observer)]
+                    spans.add(tx.start, now)
+                    spans.expire(expired)
             if not self.active[c]:
-                for listener in tuple(self._listeners[c]):
-                    listener.primary_idle(c, now)
+                if hold:
+                    self.held.add(c)
+                else:
+                    for listener in tuple(self._listeners[c]):
+                        listener.primary_idle(c, now)
 
     # -- deferral view (own BSS counts) --
 
     def deferral_busy(self, channel):
-        return bool(self.active[channel])
+        return bool(self.active[channel]) or channel in self.held
 
     def idle_since(self, channel):
-        """Start of the current idle stretch, or None while busy."""
-        if self.active[channel]:
+        """Start of the current idle stretch, or None while busy or held."""
+        if self.active[channel] or channel in self.held:
             return None
         return self.last_busy_end[channel]
 
@@ -216,31 +269,28 @@ class SpectrumState:
 
     def occupancy(self, own_bss, now):
         """Fraction of the trailing window each channel was busy with foreign
-        traffic.  Early in the run the denominator is the elapsed time."""
+        traffic, for an observer registered with observe().  Early in the
+        run the denominator is the elapsed time."""
         horizon = max(0, now - self.window)
         denom = now - horizon
         if denom <= 0:
             return (0.0, 0.0, 0.0, 0.0)
         out = []
         for c in BASIC_CHANNELS:
-            spans = [(max(s, horizon), e) for s, e, b in self.history[c]
-                     if e > horizon and b != own_bss]
-            spans += [(max(tx.start, horizon), now)
-                      for tx in self.active[c] if tx.bss != own_bss]
-            out.append(_union_length(spans) / denom)
+            spans = self.history[(c, own_bss)]
+            spans.expire(horizon)
+            busy = spans.total
+            if spans and spans[0][0] < horizon:
+                busy -= horizon - spans[0][0]
+            starts = [tx.start for tx in self.active[c] if tx.bss != own_bss]
+            if starts:
+                # frames on the air all run to now: one span [first, now],
+                # less what it shares with the spans that already ended
+                first = max(min(starts), horizon)
+                busy += now - first
+                for s, e in reversed(spans):
+                    if e <= first:
+                        break
+                    busy -= e - max(s, first)
+            out.append(busy / denom)
         return tuple(out)
-
-
-def _union_length(spans):
-    if not spans:
-        return 0
-    spans.sort()
-    total = 0
-    cur_s, cur_e = spans[0]
-    for s, e in spans[1:]:
-        if s > cur_e:
-            total += cur_e - cur_s
-            cur_s, cur_e = s, e
-        elif e > cur_e:
-            cur_e = e
-    return total + (cur_e - cur_s)

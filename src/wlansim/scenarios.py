@@ -39,6 +39,9 @@ class TrafficSpec:
     def validate(self):
         if self.kind not in ("full_buffer", "random", *RANDOM_KINDS):
             raise ValueError(f"unknown traffic kind {self.kind!r}")
+        if self.kind == "full_buffer" and self.load is not None:
+            raise ValueError(f"traffic kind 'full_buffer' offers no load, "
+                             f"got load {self.load!r}")
         if self.kind != "full_buffer" and not _is_load(self.load):
             raise ValueError(f"traffic kind {self.kind!r} needs a load of at "
                              f"least {MIN_LOAD:g} or a [lo, hi] range of them, "
@@ -80,13 +83,18 @@ class BssSpec:
     def validate(self):
         if self.role not in (LEARNING, LEGACY):
             raise ValueError(f"unknown role {self.role!r}")
-        if self.role == LEGACY:
-            if tuple(self.channels or ()) not in phy.CHANNEL_GROUPS:
-                raise ValueError(f"BSS {self.bss_id} channels {self.channels} "
-                                 f"are not a legal group")
-            if self.primary not in self.channels:
-                raise ValueError(f"BSS {self.bss_id} primary {self.primary} "
-                                 f"outside channels {self.channels}")
+        if self.role == LEARNING:
+            for name in ("channels", "primary"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"BSS {self.bss_id} is learning and picks "
+                                     f"its own {name}, got "
+                                     f"{getattr(self, name)!r}")
+        elif tuple(self.channels or ()) not in phy.CHANNEL_GROUPS:
+            raise ValueError(f"BSS {self.bss_id} channels {self.channels} "
+                             f"are not a legal group")
+        elif self.primary not in self.channels:
+            raise ValueError(f"BSS {self.bss_id} primary {self.primary} "
+                             f"outside channels {self.channels}")
         self.traffic.validate()
 
 
@@ -192,7 +200,8 @@ class ScenarioSpec:
                     t.load = tuple(load)
                 bss.append(BssSpec(
                     bss_id=b["bss_id"], role=b["role"], traffic=t,
-                    channels=tuple(b["channels"]) if b["channels"] else None,
+                    channels=(None if b["channels"] is None
+                              else tuple(b["channels"])),
                     primary=b["primary"], ap_pos=_position(b, "ap_pos"),
                     sta_pos=_position(b, "sta_pos")))
             spec = cls(name=d["name"], seed=d["seed"], bss=bss,

@@ -11,10 +11,13 @@ enough to drain their queues and go idle again and again.  The burn-in is
 cut to 0.2 s, so the goodput, delay and selection windows are not empty,
 and sp2's load intervals to 0.25 s, so all four of them play out.
 A change that means to alter trial output updates these digests and says
-why; a refactor leaves them as they are.
+why; a refactor leaves them as they are.  Three cases also pin the event
+trace, one line per executed event: a cut that only drops events that
+would have been cancelled leaves it as it is.
 """
 
 import hashlib
+import io
 from dataclasses import replace
 
 import pytest
@@ -62,6 +65,12 @@ GOLDEN = {
     ("tuning-deployment@5", "linucb-ma"): "44aabf72717a3eb3ce2ad4c25660d779022f3e15c07aaf46592492194c0d1f76",
 }
 
+TRACE_GOLDEN = {
+    ("mp1", "linucb-ma"): "caa004d12f63a69bc6aec4669a779c7789dc2e146b8f168816309e2961b49baa",
+    ("mp3", "ucb-sa"): "402220ef94255b5b7d279b46a208536c3636f047d7e0bb0d3f8f01f936dde1ff",
+    ("sp2-poisson", "static-ch7-dcb"): "a9feb1bfddf45c7dc923386f8453b79fbb52d69aa7969f473e3af14ef09d8bcb",
+}
+
 
 def _spec(scenario):
     """A catalog scenario at seed 1; "name@seed" picks another seed, and
@@ -77,15 +86,25 @@ def _spec(scenario):
     return spec
 
 
-def _digest(scenario, method):
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _digest(scenario, method, trace_file=None):
     spec = _spec(scenario)
     spec = replace(spec, burn_in_s=0.2,
                    interval_s=0.25 if spec.interval_s else None)
     params = RunParams(duration_s=1.0, decision_log=True, **METHODS[method])
-    text = _dump_records(run_trial(spec, params, 0))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return _sha256(_dump_records(run_trial(spec, params, 0, trace_file)))
 
 
 @pytest.mark.parametrize("scenario,method", sorted(GOLDEN))
 def test_golden_digest(scenario, method):
     assert _digest(scenario, method) == GOLDEN[(scenario, method)]
+
+
+@pytest.mark.parametrize("scenario,method", sorted(TRACE_GOLDEN))
+def test_golden_event_trace(scenario, method):
+    trace = io.StringIO()
+    assert _digest(scenario, method, trace) == GOLDEN[(scenario, method)]
+    assert _sha256(trace.getvalue()) == TRACE_GOLDEN[(scenario, method)]

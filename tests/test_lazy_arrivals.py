@@ -7,10 +7,14 @@ that put arrivals on the same nanosecond as MAC events (the lattice and DCF
 scripts) or as each other (the periodic script, under which APs that go
 idle wake arrivals in front of events already queued).  A script replaces
 traffic.arrival_gaps, the map from raw exponential draws to integer gaps
-that both sources go through.  And every packet a lazily fed AP was given
-must be accounted for at the end of a trial.
+that both sources go through.  Beyond the bytes, both trials must run the
+same non-arrival events in the same order: the trial records barely depend
+on the order of two events at one nanosecond, the event trace does.  And
+every packet a lazily fed AP was given must be accounted for at the end of
+a trial.
 """
 
+import io
 from contextlib import ExitStack
 from dataclasses import replace
 from unittest import mock
@@ -57,8 +61,15 @@ def periodic_gaps(draws, mean_ns):
     return np.full(len(draws), MS, dtype=np.int64)
 
 
+def tied_gaps(draws, mean_ns):
+    """One arrival every half millisecond at every source: each AP drains
+    its queue in between, so tied arrivals start cycles together, and when
+    their backoffs tie again the arrival order decides which fires first."""
+    return np.full(len(draws), MS // 2, dtype=np.int64)
+
+
 GAPS = {"exponential": None, "lattice": lattice_gaps, "dcf": dcf_gaps,
-        "periodic": periodic_gaps}
+        "periodic": periodic_gaps, "tied": tied_gaps}
 
 
 def _spec(name, seed):
@@ -72,14 +83,20 @@ def _spec(name, seed):
                    interval_s=0.125 if spec.interval_s else None)
 
 
-def _trial_text(spec, params, gap, eager):
+def _trial_output(spec, params, gap, eager):
+    """The trial's records, and its event trace without the arrivals, which
+    only the eager source runs as events."""
+    trace = io.StringIO()
     with ExitStack() as stack:
         if gap is not None:
             stack.enter_context(
                 mock.patch.object(traffic, "arrival_gaps", gap))
         if eager:
             stack.enter_context(eager_sources())
-        return _dump_records(run_trial(spec, params, 0))
+        text = _dump_records(run_trial(spec, params, 0, trace))
+    events = [line for line in trace.getvalue().splitlines()
+              if line.split()[1] != "arrival"]
+    return text, events
 
 
 def _count_ties():
@@ -113,9 +130,11 @@ def test_lazy_trials_match_the_eager_source():
             spec = _spec(name, seed)
             params = RunParams(duration_s=0.5, decision_log=True, **method)
             with patch:
-                lazy = _trial_text(spec, params, gap, eager=False)
-            eager = _trial_text(spec, params, gap, eager=True)
-            assert lazy == eager, (mode, name, seed)
+                text, events = _trial_output(spec, params, gap, eager=False)
+            eager_text, eager_events = _trial_output(spec, params, gap,
+                                                     eager=True)
+            assert text == eager_text, (mode, name, seed)
+            assert events == eager_events, (mode, name, seed)
         if gap is not None:
             # the scripted gaps really do land on MAC event times
             assert ties, mode

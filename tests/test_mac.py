@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (AgentStub, StubRng, build_cell, foreign_frame,
-                      offer_packets)
+from conftest import (AgentStub, ListenerRecorder, StubRng, build_cell,
+                      foreign_frame, offer_packets)
 from wlansim import mac
 from wlansim.agents import Action, compute_reward, make_controller
 from wlansim.engine import MS, US
@@ -292,6 +292,7 @@ def test_two_aps_same_slot_collide_then_recover():
 def test_scb_defers_until_secondary_clears():
     sim, spectrum, bss = build_cell(channels=(3, 4), primary=3,
                                     draws=(3,), fill=4)
+    spectrum.observe(99)    # the foreign sender's history holds BSS 1 alone
     foreign_frame(sim, spectrum, (4,), 0, 200_000)
     offer_packets(bss, 1)
     sim.run_until(1 * MS)
@@ -299,8 +300,8 @@ def test_scb_defers_until_secondary_clears():
     # PIFS history); the 241 us access clears and bonds the full 40 MHz
     assert bss.width_set == (3, 4)
     assert bss.cycle_log[-1][2] == 241_000 + EXCHANGE_40 == 524_200
-    own = [span for span in spectrum.history[4] if span[2] == 1]
-    assert min(s for s, _, _ in own) >= 200_000 + PIFS
+    own = spectrum.history[(4, 99)]
+    assert min(s for s, _ in own) >= 200_000 + PIFS
 
 
 def test_dcb_shrinks_to_primary_instead_of_deferring():
@@ -312,6 +313,74 @@ def test_dcb_shrinks_to_primary_instead_of_deferring():
     assert bss.width_set == (3,)
     assert bss.cycle_log[-1][2] == 61_000 + EXCHANGE_20 == 371_400
     assert bss.cycle_log[-1][0] == SUCCESS
+
+
+# -- the medium is held through a successful exchange --
+
+def test_contender_hears_one_busy_and_one_idle_edge_per_exchange():
+    # AP 1 wins at slot 3; AP 2 (draw 5) has counted down 3 slots by then
+    sim, spectrum, bss1 = build_cell(draws=(3,))
+    _, _, bss2 = build_cell(sim=sim, spectrum=spectrum, bss_id=2,
+                            draws=(5,))
+    rec = ListenerRecorder()     # hears what AP 2 hears on the primary
+    spectrum.subscribe(1, rec)
+    offer_packets(bss1, 1)
+    offer_packets(bss2, 1)
+    rts = 34_000 + 3 * SLOT
+    sim.run_until(rts + EXCHANGE_20)
+    # no edge in the three SIFS gaps, and no slot counted in them either
+    assert rec.events == [("busy", 1, 61_000), ("idle", 1, rts + EXCHANGE_20)]
+    assert bss2.remaining == 2
+    sim.run_until(2 * MS)
+    assert bss2.cycle_log[-1][2] == (rts + EXCHANGE_20 + 34_000 + 2 * SLOT
+                                     + EXCHANGE_20) == 733_800
+
+
+def test_contention_begun_in_a_sifs_gap_waits_for_the_ba_end():
+    # AP 1's RTS ends at 86 us; AP 2 gets a packet 4 us into the gap
+    sim, spectrum, bss1 = build_cell(draws=(0,))
+    _, _, bss2 = build_cell(sim=sim, spectrum=spectrum, bss_id=2,
+                            draws=(4,))
+    offer_packets(bss1, 1)
+    sim.schedule(90_000, "timer", "test", offer_packets, bss2, 1, 90_000)
+    sim.run_until(90_000)
+    assert spectrum.deferral_busy(1) and spectrum.idle_since(1) is None
+    assert bss2.frozen and bss2.pending is None
+    ba_end = 34_000 + EXCHANGE_20
+    sim.run_until(ba_end)
+    assert bss2.slot_base == ba_end + 34_000
+    sim.run_until(2 * MS)
+    assert bss2.cycle_log[-1][2] == (ba_end + 34_000 + 4 * SLOT
+                                     + EXCHANGE_20) == 724_800
+
+
+def test_collided_rts_releases_the_channel_at_its_end():
+    # both APs win slot 0, so both RTS frames go out at 34 us and collide
+    sim, spectrum, bss1 = build_cell(draws=(0, 2))
+    _, _, bss2 = build_cell(sim=sim, spectrum=spectrum, bss_id=2,
+                            draws=(0, 7))
+    rec = ListenerRecorder()
+    spectrum.subscribe(1, rec)
+    offer_packets(bss1, 1)
+    offer_packets(bss2, 1)
+    sim.run_until(90_000)
+    assert rec.events == [("busy", 1, 34_000), ("idle", 1, 86_000)]
+    assert not spectrum.held and spectrum.idle_since(1) == 86_000
+
+
+def test_corrupted_cts_times_out_from_the_rts_end():
+    trace = []
+    sim, spectrum, bss = build_cell(
+        draws=(0, 2), trace=lambda t, k, n: trace.append((t, k, n)))
+    # RTS 34-86 us; a foreign frame lands on the CTS at 102 us
+    foreign_frame(sim, spectrum, (1,), 102_000, 110_000)
+    offer_packets(bss, 1)
+    sim.run_until(1 * MS)
+    timeouts = [e for e in trace if e[1] == "ack_timeout"]
+    assert timeouts == [(86_000 + CTS_TIMEOUT, "ack_timeout", "ap1")]
+    # the retry contends from the CTS end: DIFS, then two slots
+    assert bss.cycle_log[-1] == (SUCCESS, 0, 146_000 + 34_000 + 2 * SLOT
+                                 + EXCHANGE_20)
 
 
 def test_retry_exhaustion_drops_the_frame():

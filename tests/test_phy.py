@@ -3,11 +3,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ListenerRecorder
 from wlansim import phy
 from wlansim.engine import MS, US
-from wlansim.phy import SpectrumState, Transmission
+from wlansim.phy import BASIC_CHANNELS, SpectrumState, Transmission
 
 
 # -- propagation --
@@ -217,18 +219,25 @@ def test_pifs_ignores_same_instant_start():
 
 # -- occupancy --
 
-def test_occupancy_silent_channel_is_zero():
+def _observed(*observers):
     s = SpectrumState()
+    for bss in observers:
+        s.observe(bss)
+    return s
+
+
+def test_occupancy_silent_channel_is_zero():
+    s = _observed(1)
     assert s.occupancy(own_bss=1, now=50 * MS) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_occupancy_at_time_zero():
-    s = SpectrumState()
+    s = _observed(1)
     assert s.occupancy(own_bss=1, now=0) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_occupancy_continuous_busy_is_one():
-    s = SpectrumState()
+    s = _observed(1)
     s.add(_tx((1,), 0, 1 << 60, bss=2), 0)
     occ = s.occupancy(own_bss=1, now=200 * MS)
     assert occ[0] == pytest.approx(1.0)
@@ -236,7 +245,7 @@ def test_occupancy_continuous_busy_is_one():
 
 
 def test_occupancy_30ms_in_100ms_window():
-    s = SpectrumState()
+    s = _observed(1)
     tx = _tx((3,), 10 * MS, 40 * MS, bss=2)
     s.add(tx, 10 * MS)
     s.remove(tx, 40 * MS)
@@ -245,11 +254,11 @@ def test_occupancy_30ms_in_100ms_window():
 
 
 def test_occupancy_invariant_under_span_splitting():
-    one = SpectrumState()
+    one = _observed(1)
     tx = _tx((1,), 10 * MS, 40 * MS, bss=2)
     one.add(tx, 10 * MS)
     one.remove(tx, 40 * MS)
-    two = SpectrumState()
+    two = _observed(1)
     for s0, s1 in ((10 * MS, 25 * MS), (25 * MS, 40 * MS)):
         tx = _tx((1,), s0, s1, bss=2)
         two.add(tx, s0)
@@ -258,7 +267,7 @@ def test_occupancy_invariant_under_span_splitting():
 
 
 def test_occupancy_clips_spans_to_window():
-    s = SpectrumState()
+    s = _observed(1)
     tx = _tx((1,), 0, 50 * MS, bss=2)
     s.add(tx, 0)
     s.remove(tx, 50 * MS)
@@ -268,7 +277,7 @@ def test_occupancy_clips_spans_to_window():
 
 
 def test_occupancy_elapsed_denominator_early_on():
-    s = SpectrumState()
+    s = _observed(1)
     tx = _tx((1,), 0, 10 * MS, bss=2)
     s.add(tx, 0)
     s.remove(tx, 10 * MS)
@@ -277,7 +286,7 @@ def test_occupancy_elapsed_denominator_early_on():
 
 
 def test_occupancy_excludes_own_bss():
-    s = SpectrumState()
+    s = _observed(1, 2)
     tx = _tx((1,), 0, 30 * MS, bss=1)
     s.add(tx, 0)
     s.remove(tx, 30 * MS)
@@ -286,7 +295,7 @@ def test_occupancy_excludes_own_bss():
 
 
 def test_occupancy_unions_overlapping_foreign_spans():
-    s = SpectrumState()
+    s = _observed(1)
     for bss, (s0, s1) in ((2, (10 * MS, 40 * MS)), (3, (30 * MS, 60 * MS))):
         tx = _tx((1,), s0, s1, bss=bss)
         s.add(tx, s0)
@@ -295,13 +304,13 @@ def test_occupancy_unions_overlapping_foreign_spans():
 
 
 def test_occupancy_counts_active_transmission_up_to_now():
-    s = SpectrumState()
+    s = _observed(1)
     s.add(_tx((1,), 80 * MS, 1 << 60, bss=2), 80 * MS)
     assert s.occupancy(own_bss=1, now=100 * MS)[0] == pytest.approx(0.2)
 
 
 def test_occupancy_in_unit_range_always():
-    s = SpectrumState()
+    s = _observed(1)
     import numpy as np
     rng = np.random.default_rng(3)
     t = 0
@@ -318,13 +327,81 @@ def test_occupancy_in_unit_range_always():
 
 def test_history_stays_bounded_without_occupancy_reads():
     # one 0.5 ms foreign frame per ms for a second, occupancy never read
-    s = SpectrumState()
+    s = _observed(1)
     for k in range(1000):
         tx = _tx((1,), k * MS, k * MS + MS // 2, bss=2)
         s.add(tx, k * MS)
         s.remove(tx, k * MS + MS // 2)
-    assert len(s.history[1]) == 100     # the spans of the last window
+    assert len(s.history[(1, 1)]) == 100     # the spans of the last window
     assert s.occupancy(own_bss=1, now=1000 * MS)[0] == pytest.approx(0.5)
+
+
+def _union_length(spans):
+    """Total length covered by a list of (start, end) spans."""
+    if not spans:
+        return 0
+    spans.sort()
+    total = 0
+    cur_s, cur_e = spans[0]
+    for s, e in spans[1:]:
+        if s > cur_e:
+            total += cur_e - cur_s
+            cur_s, cur_e = s, e
+        elif e > cur_e:
+            cur_e = e
+    return total + (cur_e - cur_s)
+
+
+WINDOW = 100    # ns, so a run of 3 windows draws touching and nested spans
+
+
+@st.composite
+def foreign_spans(draw):
+    """Frames (bss, channels, start, end or None while on the air) from 2-5
+    BSSs over 1-4 channels, and sorted read instants across three windows."""
+    n_bss = draw(st.integers(2, 5))
+    chans = BASIC_CHANNELS[:draw(st.integers(1, 4))]
+    frames = draw(st.lists(st.tuples(
+        st.integers(1, n_bss),
+        st.lists(st.sampled_from(chans), min_size=1, unique=True),
+        st.integers(0, 3 * WINDOW),
+        st.one_of(st.none(), st.integers(1, WINDOW))), max_size=30))
+    frames = [(b, tuple(c), t0, None if d is None else t0 + d)
+              for b, c, t0, d in frames]
+    reads = sorted(draw(st.lists(st.integers(0, 4 * WINDOW), min_size=1,
+                                 max_size=8)))
+    return n_bss, frames, reads
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=foreign_spans())
+def test_occupancy_matches_a_union_of_the_foreign_spans(case):
+    n_bss, frames, reads = case
+    s = _observed(*range(1, n_bss + 1))
+    s.window = WINDOW
+    # ends before starts at one instant; every frame lasts at least 1 ns
+    edges = sorted([(t0, 1, k) for k, (_, _, t0, _) in enumerate(frames)]
+                   + [(t1, 0, k) for k, (_, _, _, t1) in enumerate(frames)
+                      if t1 is not None])
+    txs = [_tx(c, t0, t1 if t1 is not None else 1 << 60, bss=b)
+           for b, c, t0, t1 in frames]
+    i = 0
+    for now in reads:
+        while i < len(edges) and edges[i][0] <= now:
+            t, is_start, k = edges[i]
+            (s.add if is_start else s.remove)(txs[k], t)
+            i += 1
+        horizon = max(0, now - WINDOW)
+        for own in range(1, n_bss + 1):
+            expect = []
+            for c in BASIC_CHANNELS:
+                spans = [(max(t0, horizon), min(now, t1 or now))
+                         for b, cs, t0, t1 in frames
+                         if c in cs and b != own and t0 <= now
+                         and (t1 is None or t1 > horizon)]
+                expect.append(_union_length(spans) / (now - horizon)
+                              if now > horizon else 0.0)
+            assert s.occupancy(own, now) == tuple(expect)
 
 
 # -- listener edges --

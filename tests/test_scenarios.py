@@ -251,6 +251,11 @@ PARAMS = [RunParams(algo="none", static_channel=7),
          params=PARAMS[0])
 @example(case=_change(_shipped("sp2", 0.0), "interval_s", 0.002),
          params=PARAMS[0])
+# fields that cannot apply: a full-buffer load, a learning AP's allocation
+@example(case=_change(_shipped("mp1", 0.0), "load", 0.5), params=PARAMS[1])
+@example(case=_change(_shipped("sp1", 0.0), "channels", [1]),
+         params=PARAMS[0])
+@example(case=_change(_shipped("sp1", 0.0), "primary", 1), params=PARAMS[2])
 def test_accepted_dicts_run_and_rejected_ones_name_the_field(case, params):
     d, field = case
     try:
@@ -259,4 +264,7 @@ def test_accepted_dicts_run_and_rejected_ones_name_the_field(case, params):
         # a time is named by its first word: "duration", "burn", "interval"
         assert (field.split("_")[0] if field in TIMES else field) in str(exc)
         return
+    for b in spec.bss:
+        assert b.traffic.kind != "full_buffer" or b.traffic.load is None
+        assert b.role == "legacy" or b.channels is b.primary is None
     run_trial(spec, params, trial=0)
