@@ -20,7 +20,6 @@ SEC = 1_000_000_000
 
 # event kinds; the set is closed, trace lines use these names
 ARRIVAL = "arrival"
-CHANNEL = "channel"
 BACKOFF = "backoff"
 TIMER = "timer"
 FRAME_START = "frame_start"
@@ -28,7 +27,6 @@ FRAME_END = "frame_end"
 ACK_TIMEOUT = "ack_timeout"
 ABORT = "abort"
 INTERVAL = "interval"
-SIM_END = "sim_end"
 
 # heap keys of ARRIVAL events: below every other event's seq, by bss_id, then
 # by seq (below 2**40), which keeps a cancelled arrival's key apart
@@ -108,7 +106,6 @@ BACKOFF_STREAM = 0
 TRAFFIC_STREAM = 1
 PER_STREAM = 2
 PLACEMENT_STREAM = 3
-AGENT_STREAM = 4
 TUNING_STREAM = 5
 
 

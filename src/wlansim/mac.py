@@ -5,12 +5,11 @@ One transmission cycle, which is also one learning round, runs:
     DIFS + backoff -> PIFS gate on secondaries (SCB defer / DCB shrink)
     -> RTS .. SIFS .. CTS .. SIFS .. A-MPDU .. SIFS .. BlockACK
 
-Once the RTS gets through, each frame of the exchange leaves its channels
-held (see phy), so other contenders stay frozen across the SIFS gaps, as
-the NAV would keep them.  The BlockACK end or a corrupted frame releases
-the hold.  Only a corrupted frame sets a response timeout, for the instant
-a timeout armed at the previous frame's end would fire; retries re-enter
-contention carrying the same A-MPDU snapshot, up to the retry limit.
+Once the RTS gets through, its BSS holds the channels until the BlockACK
+ends (see phy), as the NAV would, so nothing corrupts the CTS, A-MPDU or
+BlockACK.  A collided RTS sets the one response timeout, the CTS timeout.
+A failed attempt re-enters contention carrying the same A-MPDU snapshot,
+up to the retry limit; the MPDUs a BlockACK acks leave the queue.
 Learning APs additionally force-terminate a cycle that has not finished
 within D_max and report the elapsed duration to their agent.
 
@@ -48,9 +47,8 @@ SUCCESS = "success"
 FAILURE = "failure"
 ABORTED = "aborted"
 
-# a response, if it comes at all, lands one slot before its timeout
+# a CTS, if it comes at all, lands one slot before its timeout
 CTS_TIMEOUT = SIFS + CTS_AIRTIME + SLOT
-BA_TIMEOUT = SIFS + BA_AIRTIME + SLOT
 
 
 def legal_tx_sets(channels, primary):
@@ -174,8 +172,6 @@ class Bss:
         self.abort_ev = None
         self.abort_pending = False
         self._action_key = ""
-        # per snapshot MPDU: delivered to the STA by an earlier attempt
-        self._sta_seen = np.zeros(0, dtype=bool)
         self._airtime_cache = {}
 
     # -- traffic entry points --
@@ -210,12 +206,6 @@ class Bss:
         self.retries = 0
         self.abort_pending = False
         self.snapshot = self.queue.snapshot_head()
-        # packets left queued by the last cycle head the new snapshot and
-        # keep their flags
-        carry = self._sta_seen
-        self._sta_seen = np.zeros(len(self.snapshot), dtype=bool)
-        if len(carry):
-            self._sta_seen[:len(carry)] = carry
         self.metrics.cycles += 1
         self.state = CONTEND
         self._begin_contention(fresh=True)
@@ -277,24 +267,20 @@ class Bss:
 
     # -- RTS / CTS / DATA / BA ladder --
 
-    def _send(self, node, airtime, on_end, payload=None):
+    def _send(self, node, airtime, on_end, *args):
         """Put one frame from node on the air over the transmit set;
-        on_end(tx) runs when it leaves."""
+        on_end(tx, *args) runs when it leaves."""
         now = self.sim.now()
-        tx = Transmission(self.bss_id, self.width_set, now, now + airtime,
-                          payload)
+        tx = Transmission(self.bss_id, self.width_set, now, now + airtime)
         self.spectrum.add(tx, now)
-        self.sim.schedule(tx.end, engine.FRAME_END, node, on_end, tx)
-
-    def _time_out(self, at):
-        self.sim.schedule(at, engine.ACK_TIMEOUT, self.ap_name,
-                          self._attempt_failed)
+        self.sim.schedule(tx.end, engine.FRAME_END, node, on_end, tx, *args)
 
     def _rts_end(self, tx):
         now = self.sim.now()
         self.spectrum.remove(tx, now, hold=not tx.corrupted)
         if tx.corrupted:
-            self._time_out(now + CTS_TIMEOUT)
+            self.sim.schedule(now + CTS_TIMEOUT, engine.ACK_TIMEOUT,
+                              self.ap_name, self._attempt_failed)
         else:
             self.sim.schedule(now + SIFS, engine.FRAME_START, self.sta_name,
                               self._send, self.sta_name, CTS_AIRTIME,
@@ -302,15 +288,11 @@ class Bss:
 
     def _cts_end(self, tx):
         now = self.sim.now()
-        self.spectrum.remove(tx, now, hold=not tx.corrupted)
-        if tx.corrupted:
-            # the CTS timeout runs from the RTS end, one SIFS before the CTS
-            self._time_out(tx.start - SIFS + CTS_TIMEOUT)
-        else:
-            self.sim.schedule(now + SIFS, engine.FRAME_START, self.ap_name,
-                              self._send, self.ap_name,
-                              self._data_airtime(len(self.snapshot)),
-                              self._data_end, self.snapshot)
+        self.spectrum.remove(tx, now, hold=True)
+        self.sim.schedule(now + SIFS, engine.FRAME_START, self.ap_name,
+                          self._send, self.ap_name,
+                          self._data_airtime(len(self.snapshot)),
+                          self._data_end)
 
     def _data_airtime(self, n_packets):
         width = 20 * len(self.width_set)
@@ -324,27 +306,19 @@ class Bss:
 
     def _data_end(self, tx):
         now = self.sim.now()
-        self.spectrum.remove(tx, now, hold=not tx.corrupted)
-        if tx.corrupted:
-            self._time_out(now + BA_TIMEOUT)
-            return
-        # STA side: per-MPDU error draws, first-delivery delays, then a BA
-        # whose payload is the ack mask
+        self.spectrum.remove(tx, now, hold=True)
+        # STA side: per-MPDU error draws and the delays of the packets they
+        # deliver, then a BA that carries the ack mask
         acked = self.rng_per.random(len(self.snapshot)) >= self.per
-        new = acked & ~self._sta_seen
-        self._sta_seen |= acked
-        self.metrics.record_data_reception(now, now - self.snapshot[new])
+        self.metrics.record_data_reception(now, now - self.snapshot[acked])
         self.sim.schedule(now + SIFS, engine.FRAME_START, self.sta_name,
                           self._send, self.sta_name, BA_AIRTIME, self._ba_end,
                           acked)
 
-    def _ba_end(self, tx):
+    def _ba_end(self, tx, acked):
         self.spectrum.remove(tx, self.sim.now())
-        if tx.corrupted:
-            # the BA timeout runs from the data end, one SIFS before the BA
-            self._time_out(tx.start - SIFS + BA_TIMEOUT)
-        elif tx.payload.any():
-            self._finish_cycle(SUCCESS, tx.payload)
+        if acked.any():
+            self._finish_cycle(SUCCESS, acked)
         else:
             self._attempt_failed()
 
@@ -380,19 +354,16 @@ class Bss:
         if self.abort_ev is not None:
             self.sim.cancel(self.abort_ev)
             self.abort_ev = None
-        # an aborted snapshot stays queued with all its flags
+        # an aborted snapshot stays queued
         released = 0
         if outcome == SUCCESS:
-            lost = ~acked
             released = int(np.count_nonzero(acked))
-            self.queue.ack_head(lost)
-            self._sta_seen = self._sta_seen[lost]
+            self.queue.ack_head(~acked)
             if self.agent is None:
                 self.cw = beb_next_cw(self.cw, success=True)
         elif outcome == FAILURE:
             self.queue.drop_head(len(self.snapshot))
             self.metrics.retry_drops += len(self.snapshot)
-            self._sta_seen = self._sta_seen[:0]
             released = len(self.snapshot)
             if self.agent is None:
                 self.cw = beb_next_cw(self.cw, success=True)  # fresh frame

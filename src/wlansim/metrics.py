@@ -34,7 +34,8 @@ class BssMetrics:
 
     def record_data_reception(self, now, delays):
         """One data-frame reception and the delays, in ns, of the packets it
-        delivered for the first time."""
+        delivered.  A delivered packet is acked and leaves the queue, so no
+        packet is recorded twice."""
         delays = np.asarray(delays, dtype=np.int64)
         self.sample_t.append(now)
         self.sample_bits.append(len(delays) * PACKET_BITS)

@@ -5,12 +5,12 @@ SpectrumState that every DCF state machine senses and transmits through.
 Two busy views exist on purpose: deferral sensing counts everything on the
 air, while the learning features F1/F2 exclude the observer's own BSS.
 
-Deferral sensing also honours a hold.  Once an RTS gets through, the frames
-of its exchange follow each other one SIFS apart, and no contender may take
-the channel in between: like the NAV (network allocation vector) that real
-stations set from the RTS duration field, a held channel stays busy across
-each SIFS gap.  Only a BSS registered with observe() keeps the foreign
-occupancy history the learning features read.
+Deferral sensing also honours a hold.  Like the NAV (network allocation
+vector) that real stations set from the RTS duration field, a won RTS
+holds its channels busy until its BlockACK ends, across each SIFS gap.
+Every node hears every frame, so no other BSS may start a frame inside
+the exchange; add() raises if one does.  Only a BSS registered with
+observe() keeps the foreign occupancy history the learning features read.
 """
 
 import math
@@ -130,14 +130,13 @@ BA_AIRTIME = control_airtime(32)    # 68 us
 class Transmission:
     """One frame on the air, spanning a set of basic channels."""
 
-    __slots__ = ("bss", "channels", "start", "end", "payload", "corrupted")
+    __slots__ = ("bss", "channels", "start", "end", "corrupted")
 
-    def __init__(self, bss, channels, start, end, payload=None):
+    def __init__(self, bss, channels, start, end):
         self.bss = bss
         self.channels = channels
         self.start = start
         self.end = end
-        self.payload = payload
         self.corrupted = False
 
 
@@ -183,7 +182,7 @@ class SpectrumState:
         self.window = window
         self.active = {c: set() for c in BASIC_CHANNELS}
         self.last_busy_end = {c: 0 for c in BASIC_CHANNELS}
-        self.held = set()        # channels kept busy across a SIFS gap
+        self.held = {}           # channel -> BSS whose won exchange holds it
         self.observers = []
         self.history = {}
         self._listeners = {c: [] for c in BASIC_CHANNELS}
@@ -203,24 +202,27 @@ class SpectrumState:
     def add(self, tx, now):
         """Put a frame on the air; overlapping frames corrupt each other.
 
-        The first frame on a held channel takes the hold over: listeners
-        heard no idle edge, so they hear no busy edge either."""
+        A held channel takes its exchange's next frame with no busy edge,
+        as listeners heard no idle edge; a frame from another BSS raises."""
         for c in tx.channels:
             chan_active = self.active[c]
-            if chan_active:
+            if c in self.held:
+                if self.held[c] != tx.bss:
+                    raise AssertionError(
+                        f"BSS {tx.bss} started a frame at {now} ns on channel "
+                        f"{c}, held by the exchange of BSS {self.held[c]}")
+            elif chan_active:
                 for other in chan_active:
                     other.corrupted = True
                 tx.corrupted = True
-            elif c in self.held:
-                self.held.discard(c)
             else:
                 for listener in tuple(self._listeners[c]):
                     listener.primary_busy(c, now)
             chan_active.add(tx)
 
     def remove(self, tx, now, hold=False):
-        """Take a frame off the air.  With hold, a channel it leaves empty
-        stays busy to deferral sensing until the next frame starts on it."""
+        """Take a frame off the air.  With hold, its channels stay held by
+        its BSS until one of its frames ends without hold."""
         expired = now - self.window
         for c in tx.channels:
             self.active[c].discard(tx)
@@ -232,8 +234,9 @@ class SpectrumState:
                     spans.expire(expired)
             if not self.active[c]:
                 if hold:
-                    self.held.add(c)
+                    self.held[c] = tx.bss
                 else:
+                    self.held.pop(c, None)
                     for listener in tuple(self._listeners[c]):
                         listener.primary_idle(c, now)
 

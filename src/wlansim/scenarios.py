@@ -28,6 +28,9 @@ N_INTERVALS = 4
 # below this a source offers under one packet per 18 s at any reference
 # width; far below it, its arrival gaps in ns overrun int64
 MIN_LOAD = 1e-6
+# a load is a fraction of the link's whole uncontended goodput; above it
+# arrivals only overflow the queue, which full_buffer already models
+MAX_LOAD = 1.0
 
 
 @dataclass
@@ -43,18 +46,19 @@ class TrafficSpec:
             raise ValueError(f"traffic kind 'full_buffer' offers no load, "
                              f"got load {self.load!r}")
         if self.kind != "full_buffer" and not _is_load(self.load):
-            raise ValueError(f"traffic kind {self.kind!r} needs a load of at "
-                             f"least {MIN_LOAD:g} or a [lo, hi] range of them, "
-                             f"got {self.load!r}")
+            raise ValueError(f"traffic kind {self.kind!r} needs a load from "
+                             f"{MIN_LOAD:g} to {MAX_LOAD:g} or a [lo, hi] range "
+                             f"of them, got {self.load!r}")
         if self.width_ref_mhz not in (20, 40, 80):
             raise ValueError(f"width_ref_mhz {self.width_ref_mhz!r} is not "
                              f"20, 40 or 80")
 
 
 def _is_load(load):
-    """A fraction of at least MIN_LOAD, or a (lo, hi) range of them."""
+    """A fraction from MIN_LOAD to MAX_LOAD, or a (lo, hi) range of them."""
     bounds = load if isinstance(load, tuple) and len(load) == 2 else (load,)
-    return (all(isinstance(x, (int, float)) and x >= MIN_LOAD for x in bounds)
+    return (all(isinstance(x, (int, float)) and MIN_LOAD <= x <= MAX_LOAD
+                for x in bounds)
             and bounds[0] <= bounds[-1])
 
 
@@ -165,7 +169,7 @@ class ScenarioSpec:
                       (f"BSS {b.bss_id} sta_pos", b.sta_pos)]
         for i, (name_a, a) in enumerate(nodes):
             for name_b, b in nodes[i + 1:]:
-                d = _distance(a, b)
+                d = math.dist(a, b)
                 if d > _SENSE_RANGE_M:
                     raise ValueError(
                         f"{name_a} and {name_b} are {d:.1f} m apart, beyond "
@@ -222,10 +226,6 @@ _SENSE_RANGE_M = 10.0 ** (
     / (10.0 * phy.PATH_LOSS_EXPONENT))
 
 
-def _distance(a, b):
-    return math.dist(a, b)
-
-
 def draw_positions(rng, n_bss):
     """AP/STA placements in AREA with every link inside MCS-11-at-80-MHz
     range."""
@@ -235,7 +235,7 @@ def draw_positions(rng, n_bss):
         ap = tuple(float(rng.uniform(0, dim)) for dim in AREA)
         while True:
             sta = tuple(float(rng.uniform(0, dim)) for dim in AREA)
-            d = _distance(ap, sta)
+            d = math.dist(ap, sta)
             if 0.0 < d <= max_link:
                 break
         out.append((ap, sta))
@@ -326,5 +326,5 @@ def _place(spec, rng):
 
 def link_mcs_by_width(bss_spec):
     """Per-width MCS for one AP-STA link, from its placement distance."""
-    rssi = phy.rssi_dbm(_distance(bss_spec.ap_pos, bss_spec.sta_pos))
+    rssi = phy.rssi_dbm(math.dist(bss_spec.ap_pos, bss_spec.sta_pos))
     return {w: phy.select_mcs(rssi, w) for w in (20, 40, 80)}

@@ -39,8 +39,8 @@ CASES = [
 
 LATTICE_NS = 200   # DCF times sit on this grid (SLOT and PIFS are odd x 200)
 DCF_GAPS = (phy.SIFS, phy.SLOT, phy.DIFS, phy.PIFS, phy.RTS_AIRTIME,
-            phy.CTS_AIRTIME, phy.BA_AIRTIME, mac.CTS_TIMEOUT, mac.BA_TIMEOUT,
-            400, 3 * MS)
+            phy.CTS_AIRTIME, phy.BA_AIRTIME, mac.CTS_TIMEOUT,
+            phy.SIFS + phy.BA_AIRTIME + phy.SLOT, 400, 3 * MS)
 
 
 def lattice_gaps(draws, mean_ns):

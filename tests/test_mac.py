@@ -17,7 +17,7 @@ from conftest import (AgentStub, ListenerRecorder, StubRng, build_cell,
 from wlansim import mac
 from wlansim.agents import Action, compute_reward, make_controller
 from wlansim.engine import MS, US
-from wlansim.mac import (ABORTED, BA_TIMEOUT, CTS_TIMEOUT, CW_MAX, CW_MIN,
+from wlansim.mac import (ABORTED, CTS_TIMEOUT, CW_MAX, CW_MIN,
                          DCB, PACKET_BYTES, FAILURE, SCB, SUCCESS,
                          TxQueue, beb_next_cw, dcb_transmit_set,
                          legal_tx_sets, scb_defers)
@@ -34,7 +34,6 @@ EXCHANGE_40 = 283_200   # data airtime 71.2 us at MCS 11 / 40 MHz
 
 def test_timeouts_cover_response_plus_one_slot():
     assert CTS_TIMEOUT == SIFS + CTS_AIRTIME + SLOT
-    assert BA_TIMEOUT == SIFS + BA_AIRTIME + SLOT
 
 
 def test_legal_tx_sets_widest_first():
@@ -368,19 +367,18 @@ def test_collided_rts_releases_the_channel_at_its_end():
     assert not spectrum.held and spectrum.idle_since(1) == 86_000
 
 
-def test_corrupted_cts_times_out_from_the_rts_end():
-    trace = []
-    sim, spectrum, bss = build_cell(
-        draws=(0, 2), trace=lambda t, k, n: trace.append((t, k, n)))
-    # RTS 34-86 us; a foreign frame lands on the CTS at 102 us
-    foreign_frame(sim, spectrum, (1,), 102_000, 110_000)
+# AP 1 wins slot 0: RTS 34-86 us, CTS 102-146 us, data 162-260.4 us and
+# BA 276.4-344.4 us, with a SIFS gap after each of the first three
+@pytest.mark.parametrize("start", [90_000, 110_000, 200_000, 300_000],
+                         ids=["sifs-gap", "cts", "data", "ba"])
+def test_foreign_frame_inside_a_won_exchange_raises(start):
+    sim, spectrum, bss = build_cell(draws=(0,))
+    foreign_frame(sim, spectrum, (1,), start, start + 8_000)
     offer_packets(bss, 1)
-    sim.run_until(1 * MS)
-    timeouts = [e for e in trace if e[1] == "ack_timeout"]
-    assert timeouts == [(86_000 + CTS_TIMEOUT, "ack_timeout", "ap1")]
-    # the retry contends from the CTS end: DIFS, then two slots
-    assert bss.cycle_log[-1] == (SUCCESS, 0, 146_000 + 34_000 + 2 * SLOT
-                                 + EXCHANGE_20)
+    with pytest.raises(AssertionError,
+                       match=r"^BSS 99 .* held by the exchange of BSS 1$"):
+        sim.run_until(1 * MS)
+    assert spectrum.held == {1: 1}
 
 
 def test_retry_exhaustion_drops_the_frame():
@@ -455,21 +453,6 @@ class ScriptedPer:
         return v
 
 
-def _lose_first_ba(sim, spectrum, bss):
-    """Corrupt the first BlockACK with a foreign frame started beside it."""
-    send = bss._send
-    sent = []
-
-    def lossy(node, airtime, on_end, payload=None):
-        send(node, airtime, on_end, payload)
-        if on_end == bss._ba_end and not sent:
-            sent.append(sim.now())
-            foreign_frame(sim, spectrum, (1,), sim.now(), sim.now() + 1_000)
-
-    bss._send = lossy
-    return sent
-
-
 def _deliveries(m):
     """(reception time, generation time) of every recorded delivery."""
     out = []
@@ -482,45 +465,24 @@ def _deliveries(m):
     return out
 
 
-def test_lost_ba_then_partial_retry_records_each_packet_once():
-    sim, spectrum, bss = build_cell(per=0.5)
+def test_partial_acks_then_retries_record_each_packet_once():
+    sim, _, bss = build_cell(per=0.5)
     bss.rng_per = ScriptedPer(
-        [DELIVERED, DELIVERED, DELIVERED, LOST, LOST],   # BA lost
-        [LOST, DELIVERED, LOST, DELIVERED, LOST],        # acks 10 and 30
-        [LOST, LOST, DELIVERED],                         # the rest, in order
-        [DELIVERED, DELIVERED])
-    lost_ba = _lose_first_ba(sim, spectrum, bss)
+        [DELIVERED, LOST, DELIVERED, LOST, LOST],   # acks 0 and 20
+        [LOST, LOST, LOST],                         # acks nothing: retry
+        [LOST, DELIVERED, LOST],                    # acks 30
+        [DELIVERED, DELIVERED])                     # the rest, in order
     bss.on_arrival(bss.make_packets([0, 10, 20, 30, 40]))
     sim.run_until(5 * MS)
-    assert lost_ba
     t = list(bss.metrics.sample_t)
     assert len(t) == 4
-    # the retry's reception is new only for 30; the next cycle's third MPDU
-    # is 40, so 0, 20 and 40 stayed at the head in their order
+    # the lost MPDUs stay at the head in their order: 10, 30, 40, then 10, 40
     assert _deliveries(bss.metrics) == [
-        (t[0], 0), (t[0], 10), (t[0], 20), (t[1], 30), (t[2], 40)]
-    assert list(bss.metrics.sample_bits) == [36_000, 12_000, 12_000, 0]
+        (t[0], 0), (t[0], 20), (t[2], 30), (t[3], 10), (t[3], 40)]
+    assert list(bss.metrics.sample_bits) == [24_000, 0, 12_000, 24_000]
     assert bss.metrics.acked_bytes == 5 * PACKET_BYTES
+    assert [o for o, _, _ in bss.cycle_log] == [SUCCESS] * 3
     assert bss.metrics.cycles == 3
-    assert len(bss.queue) == 0
-
-
-def test_abort_after_delivery_keeps_packets_seen():
-    # the exchange crosses the 10 ms mark, delivers every MPDU, loses its
-    # BA and aborts; the next cycle resends the same packets
-    agent = AgentStub(Action((1,), 1, 1024))
-    sim, spectrum, bss = build_cell(agent=agent, per=0.5,
-                                    draws=(1100,))
-    bss.rng_per = ScriptedPer([DELIVERED] * 3, [DELIVERED] * 3)
-    lost_ba = _lose_first_ba(sim, spectrum, bss)
-    bss.on_arrival(bss.make_packets([0, 10, 20]))
-    sim.run_until(12 * MS)
-    assert lost_ba and lost_ba[0] > 10 * MS
-    assert agent.rewards[0] == 0.0 and agent.begun == 2
-    t = list(bss.metrics.sample_t)
-    assert _deliveries(bss.metrics) == [(t[0], 0), (t[0], 10), (t[0], 20)]
-    assert list(bss.metrics.sample_bits) == [36_000, 0]
-    assert bss.cycle_log[-1][0] == SUCCESS
     assert len(bss.queue) == 0
 
 

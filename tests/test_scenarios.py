@@ -161,6 +161,10 @@ def test_spec_validation_rejects_bad_layouts():
         TrafficSpec("poisson", None).validate()
     with pytest.raises(ValueError):
         TrafficSpec("poisson", 5e-324).validate()   # gaps past int64 ns
+    for load in (1.0 + 1e-9, 1e4, (0.5, 1.5)):
+        with pytest.raises(ValueError, match="load"):
+            TrafficSpec("poisson", load).validate()
+    TrafficSpec("poisson", 1.0).validate()
     with pytest.raises(ValueError):
         BssSpec(1, "legacy", TrafficSpec("full_buffer"),
                 channels=(2, 3), primary=2).validate()
@@ -256,6 +260,9 @@ PARAMS = [RunParams(algo="none", static_channel=7),
 @example(case=_change(_shipped("sp1", 0.0), "channels", [1]),
          params=PARAMS[0])
 @example(case=_change(_shipped("sp1", 0.0), "primary", 1), params=PARAMS[2])
+# a load past the link's whole goodput, which would only overflow the queue
+@example(case=_change(_shipped("sp2", 0.0), "load", 1e4, bss=1),
+         params=PARAMS[0])
 def test_accepted_dicts_run_and_rejected_ones_name_the_field(case, params):
     d, field = case
     try:
