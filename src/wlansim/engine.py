@@ -6,7 +6,10 @@ nanosecond, ARRIVAL events run before every other event, in bss_id order;
 the rest follow in insertion order.  This stated rule keeps traces
 reproducible, and it lets a traffic source keep a busy AP's arrivals off
 the heap: whatever the heap holds, every arrival at or before now has run
-by the time an event at now reads a queue.
+by the time an event at now reads a queue.  Readers of the air follow a
+matching rule (see phy): a read at t sees the air as it stood just before
+t, as a read made by an arrival does, so it does not depend on the order
+of the other events at t.
 """
 
 import heapq
@@ -22,7 +25,6 @@ SEC = 1_000_000_000
 ARRIVAL = "arrival"
 BACKOFF = "backoff"
 TIMER = "timer"
-FRAME_START = "frame_start"
 FRAME_END = "frame_end"
 ACK_TIMEOUT = "ack_timeout"
 ABORT = "abort"
@@ -96,9 +98,6 @@ class Scheduler:
         if self._now < end:
             self._now = end
         return executed
-
-    def pending(self):
-        return sum(1 for _, _, ev in self._heap if not ev.cancelled)
 
 
 # purpose indices for the per-node RNG streams

@@ -7,11 +7,18 @@ One transmission cycle, which is also one learning round, runs:
 
 Once the RTS gets through, its BSS holds the channels until the BlockACK
 ends (see phy), as the NAV would, so nothing corrupts the CTS, A-MPDU or
-BlockACK.  A collided RTS sets the one response timeout, the CTS timeout.
+BlockACK.  Their times are fixed then, so the clean RTS end plans all
+three and hands the plan to phy as the hold.  Two events remain: the
+A-MPDU end, where the STA draws its errors and records the reception, and
+the BlockACK end, which releases the hold.  A collided RTS sets the one
+response timeout, the CTS timeout.
 A failed attempt re-enters contention carrying the same A-MPDU snapshot,
 up to the retry limit; the MPDUs a BlockACK acks leave the queue.
 Learning APs additionally force-terminate a cycle that has not finished
-within D_max and report the elapsed duration to their agent.
+within D_max and report the elapsed duration to their agent.  An agent
+that reads contexts sees the air as it stood just before the decision
+instant (phy's reader rule), whichever event at that nanosecond starts
+the cycle.
 
 A packet is its generation time in int64 ns.  Queues, snapshots, error
 draws and block acks are numpy arrays, so an A-MPDU's bookkeeping is a few
@@ -23,8 +30,8 @@ import numpy as np
 from . import agents, engine
 from .engine import MS
 from .phy import (BA_AIRTIME, CHANNEL_GROUPS, CTS_AIRTIME, DIFS,
-                  MAX_AMPDU_BYTES, RTS_AIRTIME, SIFS, SLOT, Transmission,
-                  frame_airtime)
+                  MAX_AMPDU_BYTES, RTS_AIRTIME, SIFS, SLOT, Exchange,
+                  Transmission, frame_airtime)
 
 CW_MIN = 16
 CW_MAX = 1024
@@ -263,36 +270,33 @@ class Bss:
             txset = dcb_transmit_set(self.channels, self.primary, busy)
         self.width_set = tuple(txset)
         self.state = TXOP
-        self._send(self.ap_name, RTS_AIRTIME, self._rts_end)
+        tx = Transmission(self.bss_id, self.width_set, now, now + RTS_AIRTIME)
+        self.spectrum.add(tx, now)
+        self.sim.schedule(tx.end, engine.FRAME_END, self.ap_name,
+                          self._rts_end, tx)
 
     # -- RTS / CTS / DATA / BA ladder --
 
-    def _send(self, node, airtime, on_end, *args):
-        """Put one frame from node on the air over the transmit set;
-        on_end(tx, *args) runs when it leaves."""
-        now = self.sim.now()
-        tx = Transmission(self.bss_id, self.width_set, now, now + airtime)
-        self.spectrum.add(tx, now)
-        self.sim.schedule(tx.end, engine.FRAME_END, node, on_end, tx, *args)
-
     def _rts_end(self, tx):
         now = self.sim.now()
-        self.spectrum.remove(tx, now, hold=not tx.corrupted)
         if tx.corrupted:
+            self.spectrum.remove(tx, now)
             self.sim.schedule(now + CTS_TIMEOUT, engine.ACK_TIMEOUT,
                               self.ap_name, self._attempt_failed)
-        else:
-            self.sim.schedule(now + SIFS, engine.FRAME_START, self.sta_name,
-                              self._send, self.sta_name, CTS_AIRTIME,
-                              self._cts_end)
-
-    def _cts_end(self, tx):
-        now = self.sim.now()
-        self.spectrum.remove(tx, now, hold=True)
-        self.sim.schedule(now + SIFS, engine.FRAME_START, self.ap_name,
-                          self._send, self.ap_name,
-                          self._data_airtime(len(self.snapshot)),
-                          self._data_end)
+            return
+        # plan the CTS, A-MPDU and BlockACK, SIFS apart, and hold the
+        # channels for them
+        cts = now + SIFS
+        data = cts + CTS_AIRTIME + SIFS
+        data_end = data + self._data_airtime(len(self.snapshot))
+        ba = data_end + SIFS
+        exchange = Exchange(self.bss_id, self.width_set, (
+            (cts, cts + CTS_AIRTIME), (data, data_end),
+            (ba, ba + BA_AIRTIME)))
+        self.spectrum.hold(exchange)
+        self.spectrum.remove(tx, now)
+        self.sim.schedule(data_end, engine.FRAME_END, self.ap_name,
+                          self._data_end, exchange)
 
     def _data_airtime(self, n_packets):
         width = 20 * len(self.width_set)
@@ -304,19 +308,17 @@ class Bss:
             self._airtime_cache[key] = air
         return air
 
-    def _data_end(self, tx):
-        now = self.sim.now()
-        self.spectrum.remove(tx, now, hold=True)
+    def _data_end(self, exchange):
         # STA side: per-MPDU error draws and the delays of the packets they
         # deliver, then a BA that carries the ack mask
+        now = self.sim.now()
         acked = self.rng_per.random(len(self.snapshot)) >= self.per
         self.metrics.record_data_reception(now, now - self.snapshot[acked])
-        self.sim.schedule(now + SIFS, engine.FRAME_START, self.sta_name,
-                          self._send, self.sta_name, BA_AIRTIME, self._ba_end,
-                          acked)
+        self.sim.schedule(exchange.frames[-1][1], engine.FRAME_END,
+                          self.sta_name, self._ba_end, exchange, acked)
 
-    def _ba_end(self, tx, acked):
-        self.spectrum.remove(tx, self.sim.now())
+    def _ba_end(self, exchange, acked):
+        self.spectrum.release(exchange, self.sim.now())
         if acked.any():
             self._finish_cycle(SUCCESS, acked)
         else:
@@ -388,5 +390,5 @@ class SensorView:
 
     def __init__(self, bss, now):
         self.occupancy = bss.spectrum.occupancy(bss.bss_id, now)
-        self.busy_flags = bss.spectrum.feature_busy_flags(bss.bss_id)
+        self.busy_flags = bss.spectrum.feature_busy_flags(bss.bss_id, now)
         self.queue_util = bss.queue.utilization()

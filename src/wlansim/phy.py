@@ -9,8 +9,16 @@ Deferral sensing also honours a hold.  Like the NAV (network allocation
 vector) that real stations set from the RTS duration field, a won RTS
 holds its channels busy until its BlockACK ends, across each SIFS gap.
 Every node hears every frame, so no other BSS may start a frame inside
-the exchange; add() raises if one does.  Only a BSS registered with
+the exchange; add() raises if one does.  The CTS, A-MPDU and BlockACK of
+a held exchange never go on the air as frames: the hold carries their
+planned times, and the readers work on those.  Only a BSS registered with
 observe() keeps the foreign occupancy history the learning features read.
+
+Readers follow one tie rule: a reader at time t sees the air as it stood
+just before t, so a frame counts iff start < t <= end.  That is what a
+read made by an arrival sees, since arrivals run first at a nanosecond
+(see engine), and it makes every read independent of the order of the
+other events at t.
 """
 
 import math
@@ -140,6 +148,20 @@ class Transmission:
         self.corrupted = False
 
 
+class Exchange:
+    """The rest of a won RTS/CTS exchange, planned at its clean RTS end.
+
+    frames holds the (start, end) of its CTS, A-MPDU and BlockACK, SIFS
+    apart.  Its BSS holds channels from the RTS end to the last end."""
+
+    __slots__ = ("bss", "channels", "frames")
+
+    def __init__(self, bss, channels, frames):
+        self.bss = bss
+        self.channels = channels
+        self.frames = frames
+
+
 class _MergedSpans(deque):
     """Disjoint busy spans (start, end) in time order, and their summed
     length in ns."""
@@ -169,20 +191,22 @@ class _MergedSpans(deque):
 class SpectrumState:
     """Shared view of the four basic channels.
 
-    Tracks active transmissions, held channels, and subscriber lists so
-    contending nodes hear busy/idle edges on their primary channel.  For
-    each (channel, observer) pair, history holds the merged spans of the
-    frames from other BSSs that left the channel within the last window;
-    each frame end merges in at the right and expires at the left, so a
-    read touches only the spans that expire or overlap a frame still on
-    the air.
+    Tracks the frames on the air, the planned exchanges that hold channels,
+    and subscriber lists so contending nodes hear busy/idle edges on their
+    primary channel.  For each (channel, observer) pair, history holds the
+    merged spans of the frames from other BSSs that left the channel within
+    the last window; each frame end merges in at the right and expires at
+    the left, so a read touches only the spans that expire or overlap a
+    frame still on the air or planned.  For the tie rule, ended_by keeps
+    per channel the BSSs whose frames ended at its last busy end.
     """
 
     def __init__(self, window=100 * MS):
         self.window = window
         self.active = {c: set() for c in BASIC_CHANNELS}
         self.last_busy_end = {c: 0 for c in BASIC_CHANNELS}
-        self.held = {}           # channel -> BSS whose won exchange holds it
+        self.ended_by = {c: set() for c in BASIC_CHANNELS}
+        self.held = {}           # channel -> Exchange that holds it
         self.observers = []
         self.history = {}
         self._listeners = {c: [] for c in BASIC_CHANNELS}
@@ -202,16 +226,15 @@ class SpectrumState:
     def add(self, tx, now):
         """Put a frame on the air; overlapping frames corrupt each other.
 
-        A held channel takes its exchange's next frame with no busy edge,
-        as listeners heard no idle edge; a frame from another BSS raises."""
+        No frame may start on a held channel: every node hears the
+        exchange, so one that does is a fault, and add() raises."""
         for c in tx.channels:
-            chan_active = self.active[c]
             if c in self.held:
-                if self.held[c] != tx.bss:
-                    raise AssertionError(
-                        f"BSS {tx.bss} started a frame at {now} ns on channel "
-                        f"{c}, held by the exchange of BSS {self.held[c]}")
-            elif chan_active:
+                raise AssertionError(
+                    f"BSS {tx.bss} started a frame at {now} ns on channel "
+                    f"{c}, held by the exchange of BSS {self.held[c].bss}")
+            chan_active = self.active[c]
+            if chan_active:
                 for other in chan_active:
                     other.corrupted = True
                 tx.corrupted = True
@@ -220,25 +243,43 @@ class SpectrumState:
                     listener.primary_busy(c, now)
             chan_active.add(tx)
 
-    def remove(self, tx, now, hold=False):
-        """Take a frame off the air.  With hold, its channels stay held by
-        its BSS until one of its frames ends without hold."""
-        expired = now - self.window
+    def remove(self, tx, now):
+        """Take a frame off the air."""
         for c in tx.channels:
             self.active[c].discard(tx)
-            self.last_busy_end[c] = now
-            for observer in self.observers:
-                if observer != tx.bss:
-                    spans = self.history[(c, observer)]
-                    spans.add(tx.start, now)
-                    spans.expire(expired)
-            if not self.active[c]:
-                if hold:
-                    self.held[c] = tx.bss
-                else:
-                    self.held.pop(c, None)
-                    for listener in tuple(self._listeners[c]):
-                        listener.primary_idle(c, now)
+            self._ended(c, tx.bss, ((tx.start, now),), now)
+
+    def hold(self, exchange):
+        """Hold the exchange's channels for its planned frames; call at its
+        RTS end, before the RTS leaves the air, so no idle edge goes out."""
+        for c in exchange.channels:
+            self.held[c] = exchange
+
+    def release(self, exchange, now):
+        """End a held exchange at the end of its last frame."""
+        for c in exchange.channels:
+            del self.held[c]
+            self._ended(c, exchange.bss, exchange.frames, now)
+
+    def _ended(self, channel, bss, frames, now):
+        """Frames of bss on channel have ended by now: note the end, merge
+        them into the other observers' histories, and tell the listeners if
+        the channel is clear."""
+        if self.last_busy_end[channel] == now:
+            self.ended_by[channel].add(bss)
+        else:
+            self.last_busy_end[channel] = now
+            self.ended_by[channel] = {bss}
+        expired = now - self.window
+        for observer in self.observers:
+            if observer != bss:
+                spans = self.history[(channel, observer)]
+                for start, end in frames:
+                    spans.add(start, end)
+                spans.expire(expired)
+        if not self.active[channel] and channel not in self.held:
+            for listener in tuple(self._listeners[channel]):
+                listener.primary_idle(channel, now)
 
     # -- deferral view (own BSS counts) --
 
@@ -258,6 +299,8 @@ class SpectrumState:
         is what lets two same-slot winners collide instead of one politely
         shrinking width.
         """
+        if channel in self.held:
+            return False
         for tx in self.active[channel]:
             if tx.start < now:
                 return False
@@ -265,10 +308,20 @@ class SpectrumState:
 
     # -- feature view (own BSS excluded) --
 
-    def feature_busy_flags(self, own_bss):
-        return tuple(
-            1 if any(tx.bss != own_bss for tx in self.active[c]) else 0
-            for c in BASIC_CHANNELS)
+    def feature_busy_flags(self, own_bss, now):
+        """Per channel, 1 if a frame from another BSS was on the air just
+        before now."""
+        return tuple(1 if self._foreign_busy(c, own_bss, now) else 0
+                     for c in BASIC_CHANNELS)
+
+    def _foreign_busy(self, channel, own_bss, now):
+        exchange = self.held.get(channel)
+        return (any(tx.bss != own_bss and tx.start < now
+                    for tx in self.active[channel])
+                or (self.last_busy_end[channel] == now
+                    and bool(self.ended_by[channel] - {own_bss}))
+                or (exchange is not None and exchange.bss != own_bss
+                    and any(s < now <= e for s, e in exchange.frames)))
 
     def occupancy(self, own_bss, now):
         """Fraction of the trailing window each channel was busy with foreign
@@ -295,5 +348,11 @@ class SpectrumState:
                     if e <= first:
                         break
                     busy -= e - max(s, first)
+            exchange = self.held.get(c)
+            if exchange is not None and exchange.bss != own_bss:
+                # planned frames, clipped at now; a held channel carries no
+                # other frame, and the SIFS gaps between them are free
+                for s, e in exchange.frames:
+                    busy += max(0, min(e, now) - max(s, horizon))
             out.append(busy / denom)
         return tuple(out)

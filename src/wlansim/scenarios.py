@@ -99,7 +99,10 @@ class BssSpec:
         elif self.primary not in self.channels:
             raise ValueError(f"BSS {self.bss_id} primary {self.primary} "
                              f"outside channels {self.channels}")
-        self.traffic.validate()
+        try:
+            self.traffic.validate()
+        except ValueError as exc:
+            raise ValueError(f"BSS {self.bss_id}: {exc}") from None
 
 
 @dataclass

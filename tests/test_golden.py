@@ -47,18 +47,18 @@ GOLDEN = {
     ("sp2", "static-ch7"): "8b6d1cc62c3d8dff3d60048e9f20166291fc67fcbfe8941074a3c4f2cb4ad027",
     ("mp1", "ucb-sa"): "25d20c37b1cf36182f6c3ba31ec43948396e032c8cdb76ffb72c8781917b426b",
     ("mp1", "ucb-ma"): "5ef42c81607a4a967f71eaa45887338f1f63ba1ae6609e2e7ba42e4ee4d6ea34",
-    ("mp1", "linucb-sa"): "f9df977ec060c90d8ed16a1c6145b3f7806004a8485e6fcb1211bf40078dc11a",
+    ("mp1", "linucb-sa"): "82d828f3fa53601830877eba6e75cb50da4dbc61b81553107432f2027a90a83e",
     ("mp1", "linucb-ma"): "134a087852fadf238fbb4f7abc1c5963501922c84a7f6e47635cda98254b4570",
     ("mp1", "static-ch7"): "ec3194d9a428606f88dfe18a012fa0765abce07c13aad97ebcad808689ae6078",
     ("mp2", "ucb-sa"): "1ac923c15b114e0d01b5141e6e1d7e153eca8b9c9f74d731f04584e2aaecf649",
     ("mp2", "ucb-ma"): "beaa0cd0beada2a2ec82431ae4cc425bd72c97ed821b402a87529bd7a4c8cc1a",
     ("mp2", "linucb-sa"): "47a8122ac18b3f63113ab6a9ac953c94673adec5cdcd085c53fcc8c0a9f9a287",
-    ("mp2", "linucb-ma"): "afae9f0473205c48e55b66baccaec960a696263ff9c2af943d2bf81ef2f4402a",
+    ("mp2", "linucb-ma"): "5dbaf6879d57f621e0a9958e649b3e30b5169fc006832ed5c232c0a36b20e97b",
     ("mp2", "static-ch7"): "10746f968ed5a7379b62ebd3e546f4de9b58ba1e8e7f5babc298c0cb2e13fb21",
     ("mp3", "ucb-sa"): "7afc553e4c7418904006175ae04aa8eb23e7c5681469d3ceb04486a83798b6e5",
     ("mp3", "ucb-ma"): "0f9dbbf89395e7817519ef7c36a0cfa10308575e1cbaf85b7587bc84a749f0be",
-    ("mp3", "linucb-sa"): "890ddabc558996a75ebf1ef0e39fbb268a8c7f4df24461842cd751b2afc5db1a",
-    ("mp3", "linucb-ma"): "66ea3d24daedcc1832881009157597f9ca650d2f444f565939deee455159c572",
+    ("mp3", "linucb-sa"): "ac359ad6436693194981eebe65cf3a6963f576f2d3dfb9c84035152dca79bcb4",
+    ("mp3", "linucb-ma"): "f855ef5c887c705c68c9ff9afbc7c7508af16b566276b205e66444af5a2c67d4",
     ("mp3", "static-ch7"): "7aad4fd08f469a41a532f8892d92dabc4e92a30922172ba840ed9814acb8f7ee",
     ("sp2-poisson", "static-ch7-dcb"): "248e0f6dc821ed477e3eb9ea08009b5d617faf28293c2495a202f4dfa739fa83",
     ("tuning-deployment@3", "ucb-sa"): "b29fab707f2a77626421d5e48f766380226775d2a4b7628e6bbe8477b82adca5",
@@ -66,9 +66,9 @@ GOLDEN = {
 }
 
 TRACE_GOLDEN = {
-    ("mp1", "linucb-ma"): "caa004d12f63a69bc6aec4669a779c7789dc2e146b8f168816309e2961b49baa",
-    ("mp3", "ucb-sa"): "402220ef94255b5b7d279b46a208536c3636f047d7e0bb0d3f8f01f936dde1ff",
-    ("sp2-poisson", "static-ch7-dcb"): "a9feb1bfddf45c7dc923386f8453b79fbb52d69aa7969f473e3af14ef09d8bcb",
+    ("mp1", "linucb-ma"): "efc1cbd553acd4c696486a3a8c8c8dc8df284a733e56cdeae69d888149cc3970",
+    ("mp3", "ucb-sa"): "2989b0bd1a4d99f89cb75af8223b3679acc212ec7b80c4f8a5b3a098b96d1537",
+    ("sp2-poisson", "static-ch7-dcb"): "f365ffc6e2bca5368ef8ec57e1668cc7fa313943bd501700ab89e8181ca1f78b",
 }
 
 

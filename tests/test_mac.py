@@ -6,6 +6,7 @@ lands at a hand-computed nanosecond.
 
 from collections import deque
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (AgentStub, ListenerRecorder, StubRng, build_cell,
                       foreign_frame, offer_packets)
-from wlansim import mac
+from wlansim import mac, scenarios
 from wlansim.agents import Action, compute_reward, make_controller
 from wlansim.engine import MS, US
 from wlansim.mac import (ABORTED, CTS_TIMEOUT, CW_MAX, CW_MIN,
@@ -23,6 +24,7 @@ from wlansim.mac import (ABORTED, CTS_TIMEOUT, CW_MAX, CW_MIN,
                          legal_tx_sets, scb_defers)
 from wlansim.phy import (BA_AIRTIME, BASIC_CHANNELS, CHANNEL_GROUPS,
                          CTS_AIRTIME, PIFS, SIFS, SLOT)
+from wlansim.runner import RunParams, run_trial
 from wlansim.traffic import FullBufferSource
 
 # RTS + SIFS + CTS + SIFS + data + SIFS + BA for one 1500 B MPDU
@@ -378,7 +380,80 @@ def test_foreign_frame_inside_a_won_exchange_raises(start):
     with pytest.raises(AssertionError,
                        match=r"^BSS 99 .* held by the exchange of BSS 1$"):
         sim.run_until(1 * MS)
-    assert spectrum.held == {1: 1}
+    assert {c: ex.bss for c, ex in spectrum.held.items()} == {1: 1}
+
+
+# AP 1 wins slot 0: its RTS starts at 34 us and ends at 86 us, and its BA
+# ends at 344.4 us
+@pytest.mark.parametrize("at,flag", [(34_000, 0), (86_000, 1), (344_400, 1)],
+                         ids=["rts-start", "rts-end", "ba-end"])
+def test_feature_flags_at_a_boundary_do_not_depend_on_event_order(at, flag):
+    # a reader at t sees the air as it stood just before t, whether it runs
+    # before or after AP 1's event at t
+    seen = {}
+    for reader_first in (True, False):
+        sim, spectrum, bss = build_cell(draws=(0,))
+
+        def read(first=reader_first):
+            now = sim.now()
+            seen[first] = (spectrum.feature_busy_flags(2, now),
+                           spectrum.feature_busy_flags(1, now),
+                           (len(spectrum.active[1]), 1 in spectrum.held,
+                            spectrum.last_busy_end[1]))
+
+        if reader_first:
+            sim.schedule(at, "timer", "reader", read)
+        else:
+            sim.schedule(at - 1, "timer", "test", sim.schedule, at, "timer",
+                         "reader", read)
+        offer_packets(bss, 1)
+        sim.run_until(1 * MS)
+        assert bss.cycle_log[-1][2] == 34_000 + EXCHANGE_20
+    first, second = seen[True], seen[False]
+    assert first[2] != second[2]      # the two readers saw different states
+    assert first[:2] == second[:2] == ((flag, 0, 0, 0), (0, 0, 0, 0))
+
+
+class _SubscriptionCheck:
+    """Trace sink that checks, before each event and so after the one
+    before it, that every BSS listens on exactly its primary while it
+    contends and on no channel otherwise."""
+
+    def __init__(self, built):
+        self.built = built
+        self.checks = 0
+
+    def write(self, line):
+        for bss in self.built:
+            listening = [c for c, ls in bss.spectrum._listeners.items()
+                         for listener in ls if listener is bss]
+            expect = [bss.primary] if bss.state == mac.CONTEND else []
+            assert listening == expect, (line, bss.bss_id, bss.state)
+        self.checks += 1
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 20), n_legacy=st.integers(1, 3),
+       method=st.sampled_from([dict(algo="ucb", arch="sa"),
+                               dict(algo="linucb", arch="ma"),
+                               dict(algo="none", static_channel=7),
+                               dict(algo="none", static_channel=7,
+                                    bonding=DCB)]))
+def test_a_bss_listens_on_its_primary_exactly_while_it_contends(
+        seed, n_legacy, method):
+    built = []
+
+    class RecordingBss(mac.Bss):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    spec = scenarios.build_deployment(seed, n_legacy, 0.2)
+    check = _SubscriptionCheck(built)
+    with mock.patch.object(mac, "Bss", RecordingBss):
+        run_trial(spec, RunParams(**method), 0, check)
+    check.write("end of run")
+    assert check.checks > 100
 
 
 def test_retry_exhaustion_drops_the_frame():

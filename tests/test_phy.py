@@ -185,8 +185,8 @@ def test_deferral_counts_own_bss_but_features_do_not():
     s.add(_tx((3, 4), 0, 100, bss=7), 0)
     assert s.deferral_busy(3) and s.deferral_busy(4)
     assert not s.deferral_busy(1)
-    assert s.feature_busy_flags(own_bss=1) == (0, 0, 1, 1)
-    assert s.feature_busy_flags(own_bss=7) == (0, 0, 0, 0)
+    assert s.feature_busy_flags(own_bss=1, now=50) == (0, 0, 1, 1)
+    assert s.feature_busy_flags(own_bss=7, now=50) == (0, 0, 0, 0)
 
 
 def test_idle_since_none_while_busy():
@@ -355,53 +355,111 @@ def _union_length(spans):
 WINDOW = 100    # ns, so a run of 3 windows draws touching and nested spans
 
 
+def _overlaps(a, b):
+    """Two (channels, start, end) frames share a channel and an instant;
+    end None is a frame still on the air."""
+    return (bool(set(a[0]) & set(b[0])) and a[1] < (b[2] or 1 << 60)
+            and b[1] < (a[2] or 1 << 60))
+
+
+def _held(exchange):
+    """(channels, RTS start, BA end) of an exchange."""
+    _, channels, rts, planned = exchange
+    return channels, rts[0], planned[-1][1]
+
+
 @st.composite
 def foreign_spans(draw):
-    """Frames (bss, channels, start, end or None while on the air) from 2-5
-    BSSs over 1-4 channels, and sorted read instants across three windows."""
+    """Frames (bss, channels, start, end or None while on the air) and won
+    exchanges from 2-5 BSSs over 1-4 channels, and sorted read instants
+    across three windows that include every frame boundary.
+
+    An exchange is (bss, channels, RTS, planned CTS, data and BA), each a
+    (start, end) span, with gaps between them.  Like a held medium, no other
+    frame or exchange shares a channel with it from its RTS start to its
+    BA end."""
     n_bss = draw(st.integers(2, 5))
     chans = BASIC_CHANNELS[:draw(st.integers(1, 4))]
-    frames = draw(st.lists(st.tuples(
-        st.integers(1, n_bss),
-        st.lists(st.sampled_from(chans), min_size=1, unique=True),
-        st.integers(0, 3 * WINDOW),
-        st.one_of(st.none(), st.integers(1, WINDOW))), max_size=30))
-    frames = [(b, tuple(c), t0, None if d is None else t0 + d)
-              for b, c, t0, d in frames]
-    reads = sorted(draw(st.lists(st.integers(0, 4 * WINDOW), min_size=1,
-                                 max_size=8)))
-    return n_bss, frames, reads
+    some_chans = st.lists(st.sampled_from(chans), min_size=1, unique=True)
+    exchanges = []
+    for b, c, t, lengths in draw(st.lists(st.tuples(
+            st.integers(1, n_bss), some_chans, st.integers(0, 3 * WINDOW),
+            st.lists(st.integers(1, 20), min_size=7, max_size=7)),
+            max_size=4)):
+        # RTS, CTS, data and BA airtimes, with a gap after all but the BA
+        spans = []
+        for air, gap in zip(lengths[::2], lengths[1::2] + [0]):
+            spans.append((t, t + air))
+            t += air + gap
+        ex = (b, tuple(c), spans[0], tuple(spans[1:]))
+        if not any(_overlaps(_held(ex), _held(o)) for o in exchanges):
+            exchanges.append(ex)
+    frames = []
+    for b, c, t0, d in draw(st.lists(st.tuples(
+            st.integers(1, n_bss), some_chans, st.integers(0, 3 * WINDOW),
+            st.one_of(st.none(), st.integers(1, WINDOW))), max_size=30)):
+        f = (b, tuple(c), t0, None if d is None else t0 + d)
+        if not any(_overlaps(f[1:], _held(o)) for o in exchanges):
+            frames.append(f)
+    boundaries = [t for f in frames for t in f[2:] if t is not None]
+    boundaries += [t for ex in exchanges for span in (ex[2], *ex[3])
+                   for t in span]
+    reads = sorted(set(boundaries) | set(draw(st.lists(
+        st.integers(0, 4 * WINDOW), min_size=1, max_size=8))))
+    return n_bss, frames, exchanges, reads
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=foreign_spans())
 def test_occupancy_matches_a_union_of_the_foreign_spans(case):
-    n_bss, frames, reads = case
+    n_bss, frames, exchanges, reads = case
     s = _observed(*range(1, n_bss + 1))
     s.window = WINDOW
-    # ends before starts at one instant; every frame lasts at least 1 ns
-    edges = sorted([(t0, 1, k) for k, (_, _, t0, _) in enumerate(frames)]
-                   + [(t1, 0, k) for k, (_, _, _, t1) in enumerate(frames)
-                      if t1 is not None])
     txs = [_tx(c, t0, t1 if t1 is not None else 1 << 60, bss=b)
            for b, c, t0, t1 in frames]
+    # ends before starts at one instant; every frame lasts at least 1 ns
+    edges = ([(t0, 1, s.add, (tx, t0)) for tx, (_, _, t0, _)
+              in zip(txs, frames)]
+             + [(t1, 0, s.remove, (tx, t1)) for tx, (_, _, _, t1)
+                in zip(txs, frames) if t1 is not None])
+    for b, c, (t0, t1), planned in exchanges:
+        rts = _tx(c, t0, t1, bss=b)
+        exchange = phy.Exchange(b, c, planned)
+
+        def rts_end(rts=rts, exchange=exchange, t1=t1):
+            s.hold(exchange)
+            s.remove(rts, t1)
+
+        edges += [(t0, 1, s.add, (rts, t0)), (t1, 0, rts_end, ()),
+                  (planned[-1][1], 0, s.release, (exchange, planned[-1][1]))]
+    edges.sort(key=lambda e: e[:2])
+    # every frame as (bss, channels, start, end), planned or on the air
+    spans = [(b, c, t0, 1 << 60 if t1 is None else t1)
+             for b, c, t0, t1 in frames]
+    spans += [(b, c, t0, t1) for b, c, rts, planned in exchanges
+              for t0, t1 in (rts, *planned)]
     i = 0
     for now in reads:
         while i < len(edges) and edges[i][0] <= now:
-            t, is_start, k = edges[i]
-            (s.add if is_start else s.remove)(txs[k], t)
+            _, _, apply, args = edges[i]
+            apply(*args)
             i += 1
         horizon = max(0, now - WINDOW)
         for own in range(1, n_bss + 1):
             expect = []
             for c in BASIC_CHANNELS:
-                spans = [(max(t0, horizon), min(now, t1 or now))
-                         for b, cs, t0, t1 in frames
-                         if c in cs and b != own and t0 <= now
-                         and (t1 is None or t1 > horizon)]
-                expect.append(_union_length(spans) / (now - horizon)
+                clipped = [(max(t0, horizon), min(now, t1))
+                           for b, cs, t0, t1 in spans
+                           if c in cs and b != own and t0 <= now
+                           and t1 > horizon]
+                expect.append(_union_length(clipped) / (now - horizon)
                               if now > horizon else 0.0)
             assert s.occupancy(own, now) == tuple(expect)
+            # a frame counts iff start < now <= end
+            assert s.feature_busy_flags(own, now) == tuple(
+                int(any(c in cs and b != own and t0 < now <= t1
+                        for b, cs, t0, t1 in spans))
+                for c in BASIC_CHANNELS)
 
 
 # -- listener edges --

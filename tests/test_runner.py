@@ -1,6 +1,7 @@
 """Trial orchestration, serialization, and the command-line surface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from wlansim.engine import SEC
 from wlansim.runner import (RunParams, _dump_records,
                             _trial_assignments, load_records, run_many,
                             run_trial, summarize)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _params(**kw):
@@ -354,6 +357,23 @@ def test_cli_malformed_bss_fields_are_named(tmp_path, capsys, field, value,
     assert rc == 1
     err = capsys.readouterr().err
     assert message in err and "BSS 1" in err
+
+
+def test_cli_bad_traffic_names_its_bss(tmp_path, capsys):
+    # sp2 has four 'random' legacy BSSs; the message must say which is wrong
+    d = json.loads((CONFIGS / "sp2.json").read_text())
+    (b,) = [b for b in d["bss"] if b["bss_id"] == 2]
+    b["traffic"]["load"] = 1e4
+    cfg = tmp_path / "sp2-overload.json"
+    cfg.write_text(json.dumps(d))
+    out = tmp_path / "runs"
+    rc = cli.main(["run", "--config", str(cfg), "--algo", "none",
+                   "--channel", "2", "--trials", "1", "--duration", "0.1",
+                   "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "BSS 2: traffic kind 'random' needs a load" in err
+    assert not out.exists()
 
 
 def test_cli_out_env_default(tmp_path, monkeypatch):
