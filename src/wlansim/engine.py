@@ -81,6 +81,14 @@ class Scheduler:
         # lazy removal: the heap entry stays and is skipped on pop
         ev.cancelled = True
 
+    def clear(self):
+        """Drop every queued event and its callback.  A callback is mostly
+        a bound method, so this breaks the cycles its object closes through
+        the events it holds and through this scheduler."""
+        for _, _, ev in self._heap:
+            ev.fn = ev.args = None
+        self._heap.clear()
+
     def run_until(self, end):
         """Execute events with fire_at <= end; returns the executed count."""
         heap = self._heap

@@ -8,10 +8,13 @@ One transmission cycle, which is also one learning round, runs:
 Once the RTS gets through, its BSS holds the channels until the BlockACK
 ends (see phy), as the NAV would, so nothing corrupts the CTS, A-MPDU or
 BlockACK.  Their times are fixed then, so the clean RTS end plans all
-three and hands the plan to phy as the hold.  Two events remain: the
-A-MPDU end, where the STA draws its errors and records the reception, and
-the BlockACK end, which releases the hold.  A collided RTS sets the one
-response timeout, the CTS timeout.
+three, hands the plan to phy as the hold, and does the STA's part too: it
+draws the per-MPDU errors and records the reception, stamped at the
+planned A-MPDU end.  One event remains, the BlockACK end, which releases
+the hold and acks the MPDUs out of the queue; a successful cycle is three
+events (backoff, RTS end, BlockACK end).  The runner drops a reception
+stamped after the end of the run.  A collided RTS sets the one response
+timeout, the CTS timeout.
 A failed attempt re-enters contention carrying the same A-MPDU snapshot,
 up to the retry limit; the MPDUs a BlockACK acks leave the queue.
 Learning APs additionally force-terminate a cycle that has not finished
@@ -66,12 +69,16 @@ def legal_tx_sets(channels, primary):
     return out
 
 
+# legal_tx_sets of every (channels, primary) pair that validate() admits
+_TX_SETS = {(g, p): legal_tx_sets(g, p) for g in CHANNEL_GROUPS for p in g}
+
+
 def dcb_transmit_set(channels, primary, busy):
     """Widest legal group whose members are all idle; never empty, the
-    primary singleton always qualifies once backoff is won."""
-    busy = set(busy)
-    for g in legal_tx_sets(channels, primary):
-        if not (set(g) & busy):
+    primary singleton always qualifies once backoff is won.  busy is a
+    set."""
+    for g in _TX_SETS[channels, primary]:
+        if busy.isdisjoint(g):
             return g
     raise AssertionError("primary busy after winning backoff")
 
@@ -97,6 +104,7 @@ class TxQueue:
         self._head = 0
         self._tail = 0
         self.overflow_drops = 0
+        self.acked = 0           # packets ack_head took out
 
     def __len__(self):
         return self._tail - self._head
@@ -125,7 +133,9 @@ class TxQueue:
         """Take the first len(lost) packets off the head and put back the
         ones flagged lost, in order."""
         kept = self._buf[self._head:self._head + len(lost)][lost]
-        self._head += len(lost) - len(kept)
+        taken = len(lost) - len(kept)
+        self.acked += taken
+        self._head += taken
         self._buf[self._head:self._head + len(kept)] = kept
 
     def drop_head(self, n):
@@ -295,8 +305,13 @@ class Bss:
             (ba, ba + BA_AIRTIME)))
         self.spectrum.hold(exchange)
         self.spectrum.remove(tx, now)
-        self.sim.schedule(data_end, engine.FRAME_END, self.ap_name,
-                          self._data_end, exchange)
+        # STA side: per-MPDU error draws and the delays of the packets they
+        # deliver, received at the A-MPDU end; the BA carries the ack mask
+        acked = self.rng_per.random(len(self.snapshot)) >= self.per
+        delays = data_end - self.snapshot[acked]
+        self.metrics.record_data_reception(data_end, delays)
+        self.sim.schedule(ba + BA_AIRTIME, engine.FRAME_END, self.sta_name,
+                          self._ba_end, exchange, acked, len(delays))
 
     def _data_airtime(self, n_packets):
         width = 20 * len(self.width_set)
@@ -308,19 +323,10 @@ class Bss:
             self._airtime_cache[key] = air
         return air
 
-    def _data_end(self, exchange):
-        # STA side: per-MPDU error draws and the delays of the packets they
-        # deliver, then a BA that carries the ack mask
-        now = self.sim.now()
-        acked = self.rng_per.random(len(self.snapshot)) >= self.per
-        self.metrics.record_data_reception(now, now - self.snapshot[acked])
-        self.sim.schedule(exchange.frames[-1][1], engine.FRAME_END,
-                          self.sta_name, self._ba_end, exchange, acked)
-
-    def _ba_end(self, exchange, acked):
+    def _ba_end(self, exchange, acked, delivered):
         self.spectrum.release(exchange, self.sim.now())
-        if acked.any():
-            self._finish_cycle(SUCCESS, acked)
+        if delivered:
+            self._finish_cycle(SUCCESS, acked, delivered)
         else:
             self._attempt_failed()
 
@@ -350,16 +356,14 @@ class Bss:
             # mid-exchange: let the attempt resolve, then terminate
             self.abort_pending = True
 
-    def _finish_cycle(self, outcome, acked=None):
+    def _finish_cycle(self, outcome, acked=None, released=0):
         now = self.sim.now()
         self.traffic.flush()   # arrivals due by now join the queue first
         if self.abort_ev is not None:
             self.sim.cancel(self.abort_ev)
             self.abort_ev = None
         # an aborted snapshot stays queued
-        released = 0
         if outcome == SUCCESS:
-            released = int(np.count_nonzero(acked))
             self.queue.ack_head(~acked)
             if self.agent is None:
                 self.cw = beb_next_cw(self.cw, success=True)
@@ -381,6 +385,25 @@ class Bss:
         self.start_cycle()
         if self.state == IDLE:
             self.traffic.on_idle()
+
+    # -- end of run --
+
+    def check_conservation(self):
+        """Raise unless every packet made for this AP is queued, dropped at
+        the tail or after its last retry, or acked out of the queue."""
+        q = self.queue
+        held = len(q) + q.overflow_drops + self.metrics.retry_drops + q.acked
+        if held != self.issued:
+            raise AssertionError(
+                f"BSS {self.bss_id} was issued {self.issued} packets and "
+                f"accounts for {held}")
+
+    def close(self):
+        """Break the cycles through this BSS's traffic source and, while it
+        contends, its primary's listener list; call once the run is over."""
+        if self.state == CONTEND:
+            self.spectrum.unsubscribe(self.primary, self)
+        self.traffic = None
 
 
 class SensorView:

@@ -42,6 +42,15 @@ class BssMetrics:
         self.acked_bytes += len(delays) * PACKET_BYTES
         self.delay_ns.frombytes(delays.tobytes())
 
+    def drop_receptions_after(self, t):
+        """Forget the receptions stamped after t, with their packets."""
+        while self.sample_t and self.sample_t[-1] > t:
+            self.sample_t.pop()
+            n = self.sample_bits.pop() // PACKET_BITS
+            self.acked_bytes -= n * PACKET_BYTES
+            if n:
+                del self.delay_ns[-n:]
+
     def ack_times(self):
         """Delivery time of each packet in delay_ns."""
         return np.repeat(np.asarray(self.sample_t, dtype=np.int64),

@@ -154,8 +154,13 @@ def run_trial(spec, params, trial, trace_file=None):
             sim.schedule(k * iv, INTERVAL, "schedule", apply_interval, k)
 
     sim.run_until(duration)
+    sim.clear()
     for bss in bss_objs.values():
         bss.traffic.flush()    # arrivals held back up to the last instant
+        # an exchange that straddles the end loses its reception
+        bss.metrics.drop_receptions_after(duration)
+        bss.check_conservation()
+        bss.close()
     return _trial_records(spec, params, trial, bonding, duration, burn_in,
                           bss_objs, assign, schedule)
 

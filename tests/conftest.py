@@ -102,9 +102,9 @@ def build_cell(channels=(1,), primary=1, bonding=mac.SCB, per=0.0,
     bss.cycle_log = []
     finish = bss._finish_cycle
 
-    def logged_finish(outcome, acked=None):
+    def logged_finish(outcome, *args):
         bss.cycle_log.append((outcome, bss.cycle_start, sim.now()))
-        finish(outcome, acked)
+        finish(outcome, *args)
 
     bss._finish_cycle = logged_finish
     return sim, spectrum, bss

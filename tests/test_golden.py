@@ -66,9 +66,9 @@ GOLDEN = {
 }
 
 TRACE_GOLDEN = {
-    ("mp1", "linucb-ma"): "efc1cbd553acd4c696486a3a8c8c8dc8df284a733e56cdeae69d888149cc3970",
-    ("mp3", "ucb-sa"): "2989b0bd1a4d99f89cb75af8223b3679acc212ec7b80c4f8a5b3a098b96d1537",
-    ("sp2-poisson", "static-ch7-dcb"): "f365ffc6e2bca5368ef8ec57e1668cc7fa313943bd501700ab89e8181ca1f78b",
+    ("mp1", "linucb-ma"): "6a3bcbf57a0b533e90062aaa2d04e279ab87677ad102b159e01b170182c44fdf",
+    ("mp3", "ucb-sa"): "820d75326c88f1a17458abe7bb1ec5bf2714852d14163c6d8f6e2eb659cb8807",
+    ("sp2-poisson", "static-ch7-dcb"): "9920e29ad470209666a4e029aa16a1e864839ca745cba6c5be5d64427f05b102",
 }
 
 

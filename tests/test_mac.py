@@ -207,9 +207,14 @@ def test_queue_matches_a_deque_model(capacity, ops):
 
 def test_uncontended_cycle_timing():
     # backoff draw 5: DIFS + 45 us, then the RTS/CTS/data/BA ladder
-    sim, _, bss = build_cell(draws=(5,))
+    trace = []
+    sim, _, bss = build_cell(
+        draws=(5,), trace=lambda t, k, n: trace.append((t, k, n)))
     offer_packets(bss, 1)
     sim.run_until(1 * MS)
+    # three events: the backoff, the RTS end and the BA end
+    assert trace == [(79_000, "backoff", "ap1"), (131_000, "frame_end", "ap1"),
+                     (389_400, "frame_end", "sta1")]
     outcome, start, end = bss.cycle_log[-1]
     assert outcome == SUCCESS
     assert start == 0
@@ -305,7 +310,9 @@ def test_scb_defers_until_secondary_clears():
     assert min(s for s, _ in own) >= 200_000 + PIFS
 
 
-def test_dcb_shrinks_to_primary_instead_of_deferring():
+def test_dcb_shrinks_to_primary_instead_of_deferring(monkeypatch):
+    # the legal sets come from the table built at import, not per access
+    monkeypatch.setattr(mac, "legal_tx_sets", None)
     sim, spectrum, bss = build_cell(channels=(3, 4), primary=3,
                                     bonding=DCB, draws=(3,))
     foreign_frame(sim, spectrum, (4,), 0, 200_000)
@@ -414,46 +421,87 @@ def test_feature_flags_at_a_boundary_do_not_depend_on_event_order(at, flag):
     assert first[:2] == second[:2] == ((flag, 0, 0, 0), (0, 0, 0, 0))
 
 
-class _SubscriptionCheck:
-    """Trace sink that checks, before each event and so after the one
-    before it, that every BSS listens on exactly its primary while it
-    contends and on no channel otherwise."""
+class _EventCheck:
+    """Trace sink that runs check(bss, line) on every BSS before each event,
+    and so after the one before it."""
 
-    def __init__(self, built):
+    def __init__(self, built, check):
         self.built = built
+        self.check = check
         self.checks = 0
 
     def write(self, line):
         for bss in self.built:
-            listening = [c for c, ls in bss.spectrum._listeners.items()
-                         for listener in ls if listener is bss]
-            expect = [bss.primary] if bss.state == mac.CONTEND else []
-            assert listening == expect, (line, bss.bss_id, bss.state)
+            self.check(bss, line)
         self.checks += 1
 
 
-@settings(max_examples=12, deadline=None)
-@given(seed=st.integers(0, 2 ** 20), n_legacy=st.integers(1, 3),
-       method=st.sampled_from([dict(algo="ucb", arch="sa"),
-                               dict(algo="linucb", arch="ma"),
-                               dict(algo="none", static_channel=7),
-                               dict(algo="none", static_channel=7,
-                                    bonding=DCB)]))
-def test_a_bss_listens_on_its_primary_exactly_while_it_contends(
-        seed, n_legacy, method):
+def _listens_on_its_primary_exactly_while_it_contends(bss, line):
+    listening = [c for c, ls in bss.spectrum._listeners.items()
+                 for listener in ls if listener is bss]
+    expect = [bss.primary] if bss.state == mac.CONTEND else []
+    assert listening == expect, (line, bss.bss_id, bss.state)
+
+
+def _has_one_own_frame_or_exchange_at_most(bss, line):
+    spectrum = bss.spectrum
+    frames = {tx for c in BASIC_CHANNELS for tx in spectrum.active[c]
+              if tx.bss == bss.bss_id}
+    holds = {ex for ex in spectrum.held.values() if ex.bss == bss.bss_id}
+    assert len(frames) + len(holds) <= 1, (line, bss.bss_id, frames, holds)
+    if frames or holds:
+        assert bss.state == mac.TXOP, (line, bss.bss_id, bss.state)
+
+
+random_deployments = given(
+    seed=st.integers(0, 2 ** 20), n_legacy=st.integers(1, 3),
+    method=st.sampled_from([dict(algo="ucb", arch="sa"),
+                            dict(algo="linucb", arch="ma"),
+                            dict(algo="none", static_channel=7),
+                            dict(algo="none", static_channel=7,
+                                 bonding=DCB)]))
+
+
+def _run_checked(seed, n_legacy, method, check):
+    """Run a random small tuning deployment with check on every BSS before
+    each event, and once more after the last, before the run closes the
+    BSSs.  Returns the BSSs."""
     built = []
+    sink = _EventCheck(built, check)
 
     class RecordingBss(mac.Bss):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             built.append(self)
 
+        def close(self):
+            if self is built[0]:
+                sink.write("end of run")
+            super().close()
+
     spec = scenarios.build_deployment(seed, n_legacy, 0.2)
-    check = _SubscriptionCheck(built)
     with mock.patch.object(mac, "Bss", RecordingBss):
-        run_trial(spec, RunParams(**method), 0, check)
-    check.write("end of run")
-    assert check.checks > 100
+        run_trial(spec, RunParams(**method), 0, sink)
+    assert sink.checks > 100
+    return built
+
+
+@settings(max_examples=12, deadline=None)
+@random_deployments
+def test_a_bss_listens_on_its_primary_exactly_while_it_contends(
+        seed, n_legacy, method):
+    built = _run_checked(seed, n_legacy, method,
+                         _listens_on_its_primary_exactly_while_it_contends)
+    # closing the run leaves no BSS on any listener list
+    assert not any(built[0].spectrum._listeners.values())
+
+
+@settings(max_examples=12, deadline=None)
+@random_deployments
+def test_no_bss_has_two_own_frames_on_the_air(seed, n_legacy, method):
+    # nor a frame on the air while its exchange holds a channel
+    _run_checked(seed, n_legacy, method,
+                 _has_one_own_frame_or_exchange_at_most)
 
 
 def test_retry_exhaustion_drops_the_frame():

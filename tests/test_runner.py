@@ -1,13 +1,18 @@
 """Trial orchestration, serialization, and the command-line surface."""
 
+import gc
 import json
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from wlansim import cli, scenarios, tuning
+from wlansim import cli, mac, scenarios, tuning
 from wlansim.engine import SEC
+from wlansim.mac import PACKET_BYTES
+from wlansim.phy import BA_AIRTIME, SIFS
 from wlansim.runner import (RunParams, _dump_records,
                             _trial_assignments, load_records, run_many,
                             run_trial, summarize)
@@ -421,3 +426,89 @@ def test_duration_past_the_load_schedule_fails_fast(tmp_path, capsys):
     assert "load intervals" in capsys.readouterr().err
     params.duration_s = 2.0
     assert spec.duration_ns(params.duration_s) == 2 * SEC
+
+
+# -- the end of a run --
+
+def _run_kept(spec, params):
+    """One trial; returns its BSSs, whose metrics and queues outlive it."""
+    built = []
+
+    class KeptBss(mac.Bss):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    with mock.patch.object(mac, "Bss", KeptBss):
+        run_trial(spec, params, 0)
+    return built
+
+
+def test_a_reception_counts_from_its_ampdu_end_up_to_the_run_end():
+    # BSS 1 of sp1 has channel 2 to itself under static #2; the receptions
+    # of its first 20 ms are the same in every shorter run
+    spec = replace(_short(), burn_in_s=0.0)
+    ref = _run_kept(spec, _params(duration_s=0.02))[0].metrics
+    k = 5
+    t = ref.sample_t[k]                  # A-MPDU end of the sixth exchange
+    per_packet = PACKET_BYTES * 8
+    before = sum(ref.sample_bits[:k]) // per_packet
+    n = ref.sample_bits[k] // per_packet
+    assert n > 0
+    ba_end = t + SIFS + BA_AIRTIME
+    # (run end, reception counts, packets acked out of the queue)
+    for end, received, acked in [
+            (t - 1, False, before),          # after the RTS end
+            (t, True, before),               # at the A-MPDU end
+            (ba_end - 1, True, before),      # before the BA end
+            (ba_end, True, before + n)]:     # at the BA end
+        assert spec.duration_ns(end / SEC) == end
+        bss = _run_kept(spec, _params(duration_s=end / SEC))[0]
+        m = bss.metrics
+        delivered = before + n * received
+        assert list(m.sample_t) == list(ref.sample_t[:k + received]), end
+        assert list(m.delay_ns) == list(ref.delay_ns[:delivered]), end
+        assert m.acked_bytes == delivered * PACKET_BYTES, end
+        assert bss.queue.acked == acked, end
+
+
+def test_a_trial_that_loses_a_packet_raises(monkeypatch):
+    make = mac.Bss.make_packets
+
+    def leaky(self, gen_times):
+        self.issued += 1        # one more packet issued than is queued
+        return make(self, gen_times)
+
+    monkeypatch.setattr(mac.Bss, "make_packets", leaky)
+    with pytest.raises(AssertionError,
+                       match=r"^BSS 1 was issued \d+ packets and accounts "
+                             r"for \d+$"):
+        run_trial(_short(), _params(), 0)
+
+
+@pytest.mark.parametrize("method", [
+    dict(algo="none", static_channel=7, bonding="dcb"),
+    dict(algo="ucb", arch="sa"),
+    dict(algo="linucb", arch="ma")], ids=["static-dcb", "ucb-sa", "linucb-ma"])
+def test_a_trial_leaves_no_reference_cycles(method):
+    # sp2 covers rated sources and the load schedule's events
+    spec = replace(scenarios.build_scenario("sp2", 1), duration_s=0.2,
+                   burn_in_s=0.02, interval_s=0.05)
+    spec.validate()
+    params = RunParams(**method)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)     # what the collector finds, it keeps
+    try:
+        run_trial(spec, params, 0)
+        gc.collect()
+        left = {type(o).__name__ for o in gc.garbage
+                if type(o).__module__.startswith("wlansim.")}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert not left & {"Bss", "Scheduler", "SpectrumState"}
+    assert not left
