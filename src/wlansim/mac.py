@@ -184,7 +184,6 @@ class Bss:
         self.retries = 0
         self.remaining = 0
         self.slot_base = 0
-        self.frozen = False
         self.pending = None      # armed backoff-completion event
         self.abort_ev = None
         self.abort_pending = False
@@ -231,11 +230,7 @@ class Bss:
         if fresh:
             self.remaining = int(self.rng_backoff.integers(0, self.cw))
         self.spectrum.subscribe(self.primary, self)
-        if self.spectrum.deferral_busy(self.primary):
-            self.frozen = True
-            self.pending = None
-        else:
-            self.frozen = False
+        if not self.spectrum.deferral_busy(self.primary):
             idle0 = self.spectrum.idle_since(self.primary)
             self._arm_backoff(max(self.sim.now(), idle0 + DIFS))
 
@@ -257,11 +252,11 @@ class Bss:
                 self.pending = None
             # a completion at exactly t stands: that slot ended idle, the
             # same-instant start is not yet sensible, so we transmit into it
-        self.frozen = True
 
     def primary_idle(self, channel, t):
-        if self.frozen:
-            self.frozen = False
+        # the backoff is frozen iff no completion is armed: one that stood
+        # at a busy edge fires at that same instant, before any idle edge
+        if self.pending is None:
             self._arm_backoff(t + DIFS)
 
     def _access(self):

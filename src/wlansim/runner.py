@@ -106,6 +106,7 @@ def run_trial(spec, params, trial, trace_file=None):
     trace_file, if given, receives one line per executed event.
     """
     params.validate()
+    spec.validate()
     duration = spec.duration_ns(params.duration_s)
     burn_in = int(round(spec.burn_in_s * SEC))
     bonding = params.bonding or spec.bonding

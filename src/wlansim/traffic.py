@@ -5,12 +5,13 @@ zero-contention saturation bound, resolved to concrete bit rates before a
 run starts.  All generators push mac.PACKET_BYTES packets, as int64 arrays
 of generation times, into the AP queue.
 
-A Poisson or bursty source plans its arrival times a block of exponential
-draws at a time.  Arrivals to a busy AP are not events: the AP can only see
-them when it reads its queue, so the source pushes the ones due by each read
-(flush) and turns the next one back into an event when the AP goes idle
-(on_idle).  As the engine runs the arrivals of a nanosecond before its other
-events, "due by a read at now" is simply "at or before now".
+A rated source (Poisson, bursty or VR) plans its arrival times a block at
+a time: a cumsum of exponential gaps, or a lattice of VR frames.  Arrivals
+to a busy AP are not events: the AP can only see them when it reads its
+queue, so the source pushes the ones due by each read (flush) and turns the
+next one back into an event when the AP goes idle (on_idle).  As the engine
+runs the arrivals of a nanosecond before its other events, "due by a read at
+now" is simply "at or before now".
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from .mac import AMPDU_PACKETS, CW_MIN, IDLE, PACKET_BYTES
 
 BURST_PACKETS = 64
 VR_FPS = 90
-GAP_BLOCK = 1024   # exponential draws per rng call, planned as one block
+GAP_BLOCK = 1024   # arrivals per planned block (one rng call of draws)
 
 FULL_BUFFER = "full_buffer"
 POISSON = "poisson"
@@ -84,58 +85,21 @@ class FullBufferSource(_Source):
 
 
 class _RatedSource(_Source):
-    """Common machinery for event-driven generators with a settable rate."""
+    """Arrivals at a settable rate, planned a block at a time.
+
+    A subclass plans the arrival times after t0 (_plan) and turns the due
+    ones into packets, a batch per arrival in arrival order (_batches).
+    Only an arrival to an idle AP is an event; while the AP is busy, the
+    pending one is held in the plan until the AP reads its queue.
+    """
 
     def __init__(self, bss, rng, rate_bps):
         self.bss = bss
         self.rng = rng
         self.rate_bps = rate_bps
         self._ev = None
-
-    def start(self, sim):
-        self._sim = sim
-        self._schedule_next()
-
-    def set_rate(self, rate_bps, sim):
-        # arrivals due by now keep the old rate; the pending one is
-        # forgotten and the new rate takes over from now
-        self.flush()
-        self.rate_bps = rate_bps
-        if self._ev is not None:
-            sim.cancel(self._ev)
-        self._schedule_next()
-
-    def _schedule_next(self):
-        self._arrive_at(self._sim.now() + self._next_gap())
-
-    def _arrive_at(self, t):
-        self._ev = self._sim.schedule(t, ARRIVAL, self.bss.ap_name,
-                                      self._arrive, bss_id=self.bss.bss_id)
-
-    def _arrive(self):
-        self._ev = None
-        now = self._sim.now()
-        n = self._batch_size()
-        if n:
-            self.bss.on_arrival(self.bss.make_packets(np.full(n, now)))
-        self._schedule_next()
-
-
-class PoissonSource(_RatedSource):
-    """Batches of burst packets at exponential gaps; plain Poisson is burst 1,
-    the bursty kind BURST_PACKETS.
-
-    The arrival times of a block of draws are one cumsum of their gaps.
-    Only an arrival to an idle AP is an event; while the AP is busy, the
-    pending one is held in the plan until the AP reads its queue.
-    """
-
-    def __init__(self, bss, rng, rate_bps, burst=1):
-        super().__init__(bss, rng, rate_bps)
-        self.burst = burst
-        self.kind = POISSON if burst == 1 else BURSTY
-        self._draws = None    # the raw draws behind the plan
-        self._times = None    # planned arrival times, one per draw
+        self._draws = ()      # the raw draws behind the plan, if any
+        self._times = None    # planned arrival times
         self._i = 0           # index of the pending arrival
         self._held = False    # the pending arrival is not an event
 
@@ -155,16 +119,6 @@ class PoissonSource(_RatedSource):
         self._plan(sim.now(), self._draws[self._i + 1:])
         self._wake()
 
-    def _plan(self, t0, draws):
-        """Plan arrivals after t0 from draws, or from a fresh block when
-        none are left."""
-        if not len(draws):
-            draws = self.rng.standard_exponential(GAP_BLOCK)
-        mean_ns = self.burst * PACKET_BYTES * 8 / self.rate_bps * SEC
-        self._draws = draws
-        self._times = t0 + np.cumsum(arrival_gaps(draws, mean_ns))
-        self._i = 0
-
     def _advance(self, k):
         """Make planned arrival k the pending one; past the end of the plan,
         plan a fresh block from its last arrival."""
@@ -178,9 +132,15 @@ class PoissonSource(_RatedSource):
         it stays held."""
         self._held = self.bss.state != IDLE
         if not self._held:
-            self._arrive_at(int(self._times[self._i]))
+            self._ev = self._sim.schedule(
+                int(self._times[self._i]), ARRIVAL, self.bss.ap_name,
+                self._arrive, bss_id=self.bss.bss_id)
 
-    def _schedule_next(self):
+    def _arrive(self):
+        self._ev = None
+        packets = self._batches(self._times[self._i:self._i + 1])
+        if len(packets):
+            self.bss.on_arrival(self.bss.make_packets(packets))
         self._advance(self._i + 1)
         self._wake()
 
@@ -197,16 +157,35 @@ class PoissonSource(_RatedSource):
             k = int(self._times.searchsorted(now, "right"))
             due = np.concatenate((due, self._times[self._i:k]))
             self._advance(k)
-        if self.burst > 1:
-            due = np.repeat(due, self.burst)
-        self.bss.queue.push(self.bss.make_packets(due))
+        self.bss.queue.push(self.bss.make_packets(self._batches(due)))
 
     def on_idle(self):
         if self._held:
             self._wake()
 
-    def _batch_size(self):
-        return self.burst
+
+class PoissonSource(_RatedSource):
+    """Batches of burst packets at exponential gaps; plain Poisson is burst 1,
+    the bursty kind BURST_PACKETS.  The arrival times of a block of draws
+    are one cumsum of their gaps."""
+
+    def __init__(self, bss, rng, rate_bps, burst=1):
+        super().__init__(bss, rng, rate_bps)
+        self.burst = burst
+        self.kind = POISSON if burst == 1 else BURSTY
+
+    def _plan(self, t0, draws):
+        """Plan arrivals after t0 from draws, or from a fresh block when
+        none are left."""
+        if not len(draws):
+            draws = self.rng.standard_exponential(GAP_BLOCK)
+        mean_ns = self.burst * PACKET_BYTES * 8 / self.rate_bps * SEC
+        self._draws = draws
+        self._times = t0 + np.cumsum(arrival_gaps(draws, mean_ns))
+        self._i = 0
+
+    def _batches(self, due):
+        return due if self.burst == 1 else np.repeat(due, self.burst)
 
 
 class VrSource(_RatedSource):
@@ -221,14 +200,20 @@ class VrSource(_RatedSource):
         self.frame_gap = round(SEC / fps)
         self._owed_bytes = 0.0
 
-    def _next_gap(self):
-        return self.frame_gap
+    def _plan(self, t0, draws):
+        """Plan GAP_BLOCK frames after t0; a VR source draws nothing."""
+        self._times = t0 + self.frame_gap * np.arange(1, GAP_BLOCK + 1)
+        self._i = 0
 
-    def _batch_size(self):
-        self._owed_bytes += self.rate_bps / 8.0 / self.fps
-        n = int(self._owed_bytes // PACKET_BYTES)
-        self._owed_bytes -= n * PACKET_BYTES
-        return n
+    def _batches(self, due):
+        # the accumulator runs one frame at a time, in arrival order
+        sizes = []
+        for _ in range(len(due)):
+            self._owed_bytes += self.rate_bps / 8.0 / self.fps
+            n = int(self._owed_bytes // PACKET_BYTES)
+            self._owed_bytes -= n * PACKET_BYTES
+            sizes.append(n)
+        return np.repeat(due, sizes)
 
 
 def make_source(kind, bss, rng, rate_bps=None):

@@ -1,17 +1,20 @@
-"""Lazy Poisson and bursty arrivals against the eager reference source.
+"""Lazy Poisson, bursty and VR arrivals against the eager reference sources.
 
-A busy AP's Poisson and bursty arrivals are not events; they reach its queue
-when it next reads it.  These trials must still be byte-identical to ones
-where every arrival is an event (tests/eager.py), also under gap scripts
-that put arrivals on the same nanosecond as MAC events (the lattice and DCF
-scripts) or as each other (the periodic script, under which APs that go
-idle wake arrivals in front of events already queued).  A script replaces
-traffic.arrival_gaps, the map from raw exponential draws to integer gaps
-that both sources go through.  Beyond the bytes, both trials must run the
-same non-arrival events in the same order: the trial records barely depend
-on the order of two events at one nanosecond, the event trace does.  And
-every packet a lazily fed AP was given must be accounted for at the end of
-a trial.
+A busy AP's arrivals are not events; they reach its queue when it next reads
+it.  These trials must still be byte-identical to ones where every arrival
+is an event (tests/eager.py), also under gap scripts that put arrivals on
+the same nanosecond as MAC events (the lattice and DCF scripts) or as each
+other (the periodic script, under which APs that go idle wake arrivals in
+front of events already queued).  A script replaces traffic.arrival_gaps,
+the map from raw exponential draws to integer gaps that both Poisson
+sources go through.  VR frames keep their own lattice: with every sp2
+legacy AP on VR, the four sources' held and woken arrivals tie at every
+frame.  Beyond the bytes, both trials must run the same non-arrival events
+in the same order: the trial records barely depend on the order of two
+events at one nanosecond, the event trace does.  They must also make each
+AP the same packets in the same order: the records barely show a batch
+size moved between two frames that one read pushes.  And every packet a
+lazily fed AP was given must be accounted for at the end of a trial.
 """
 
 import io
@@ -30,6 +33,7 @@ from wlansim.runner import RunParams, _dump_records, run_trial
 
 CASES = [
     ("sp2-poisson", 1, dict(algo="none", static_channel=7, bonding="dcb")),
+    ("sp2-vr", 1, dict(algo="none", static_channel=7, bonding="dcb")),
     ("sp2", 2, dict(algo="ucb", arch="sa")),
     ("mp2", 1, dict(algo="linucb", arch="ma")),
     ("mp3", 2, dict(algo="ucb", arch="ma")),
@@ -73,21 +77,33 @@ GAPS = {"exponential": None, "lattice": lattice_gaps, "dcf": dcf_gaps,
 
 
 def _spec(name, seed):
-    poisson = name == "sp2-poisson"
-    spec = scenarios.build_scenario("sp2" if poisson else name, seed)
-    if poisson:
+    """A catalog scenario; "sp2-<kind>" pins every sp2 legacy AP to kind."""
+    kind = name[len("sp2-"):] if name.startswith("sp2-") else None
+    spec = scenarios.build_scenario("sp2" if kind else name, seed)
+    if kind:
         for b in spec.bss:
             if b.role == scenarios.LEGACY:
-                b.traffic = replace(b.traffic, kind="poisson")
-    return replace(spec, burn_in_s=0.1,
+                b.traffic = replace(b.traffic, kind=kind)
+    return replace(spec, duration_s=0.5, burn_in_s=0.1,
                    interval_s=0.125 if spec.interval_s else None)
 
 
 def _trial_output(spec, params, gap, eager):
-    """The trial's records, and its event trace without the arrivals, which
-    only the eager source runs as events."""
+    """The trial's records; its event trace without the arrivals, which
+    only the eager source runs as events; and, for each AP, the generation
+    times of the packets made for it, in the order they were made."""
     trace = io.StringIO()
+    made = {}
+    make = mac.Bss.make_packets
+
+    def recorded(bss, gen_times):
+        packets = make(bss, gen_times)
+        made.setdefault(bss.bss_id, []).extend(packets.tolist())
+        return packets
+
     with ExitStack() as stack:
+        stack.enter_context(
+            mock.patch.object(mac.Bss, "make_packets", recorded))
         if gap is not None:
             stack.enter_context(
                 mock.patch.object(traffic, "arrival_gaps", gap))
@@ -96,21 +112,21 @@ def _trial_output(spec, params, gap, eager):
         text = _dump_records(run_trial(spec, params, 0, trace))
     events = [line for line in trace.getvalue().splitlines()
               if line.split()[1] != "arrival"]
-    return text, events
+    return text, events, made
 
 
 def _count_ties():
-    """Patch PoissonSource.flush to count the lazy arrivals that fall on the
+    """Patch _RatedSource.flush to count the lazy arrivals that fall on the
     nanosecond of the queue read that pushes them."""
     ties = []
-    flush = traffic.PoissonSource.flush
+    flush = traffic._RatedSource.flush
 
     def counted(self):
         now = self._sim.now()
         make = self.bss.make_packets
 
         def made(gen_times):
-            if gen_times[-1] == now:
+            if len(gen_times) and gen_times[-1] == now:
                 ties.append(now)
             return make(gen_times)
 
@@ -120,7 +136,7 @@ def _count_ties():
         finally:
             del self.bss.make_packets
 
-    return ties, mock.patch.object(traffic.PoissonSource, "flush", counted)
+    return ties, mock.patch.object(traffic._RatedSource, "flush", counted)
 
 
 def test_lazy_trials_match_the_eager_source():
@@ -130,30 +146,17 @@ def test_lazy_trials_match_the_eager_source():
             spec = _spec(name, seed)
             params = RunParams(duration_s=0.5, decision_log=True, **method)
             with patch:
-                text, events = _trial_output(spec, params, gap, eager=False)
-            eager_text, eager_events = _trial_output(spec, params, gap,
-                                                     eager=True)
-            assert text == eager_text, (mode, name, seed)
-            assert events == eager_events, (mode, name, seed)
+                lazy = _trial_output(spec, params, gap, eager=False)
+            eager = _trial_output(spec, params, gap, eager=True)
+            # records, non-arrival events, packets made
+            for got, want in zip(lazy, eager):
+                assert got == want, (mode, name, seed)
         if gap is not None:
             # the scripted gaps really do land on MAC event times
             assert ties, mode
 
 
 # -- packet conservation --
-
-class CountingQueue(mac.TxQueue):
-    """A TxQueue that counts the packets ack_head takes out."""
-
-    def __init__(self, capacity=mac.QUEUE_CAPACITY):
-        super().__init__(capacity)
-        self.acked_out = 0
-
-    def ack_head(self, lost):
-        before = len(self)
-        super().ack_head(lost)
-        self.acked_out += before - len(self)
-
 
 class RecordingBss(mac.Bss):
     built = []
@@ -166,7 +169,6 @@ class RecordingBss(mac.Bss):
 def _run_recorded(spec, params, eager):
     RecordingBss.built = []
     with ExitStack() as stack:
-        stack.enter_context(mock.patch.object(mac, "TxQueue", CountingQueue))
         stack.enter_context(mock.patch.object(mac, "Bss", RecordingBss))
         if eager:
             stack.enter_context(eager_sources())
@@ -215,6 +217,6 @@ def test_lazily_fed_aps_conserve_packets(seed, legacy, learner_kind, channel,
         assert len(q) <= q.capacity
         # every packet make_packets issued is queued, dropped or acked
         assert bss.issued == (len(q) + q.overflow_drops
-                              + bss.metrics.retry_drops + q.acked_out)
+                              + bss.metrics.retry_drops + q.acked)
         # lost, doubled or forgotten arrivals change the issued count
         assert bss.issued == ref.issued, bss.bss_id

@@ -353,7 +353,7 @@ def test_contention_begun_in_a_sifs_gap_waits_for_the_ba_end():
     sim.schedule(90_000, "timer", "test", offer_packets, bss2, 1, 90_000)
     sim.run_until(90_000)
     assert spectrum.deferral_busy(1) and spectrum.idle_since(1) is None
-    assert bss2.frozen and bss2.pending is None
+    assert bss2.pending is None
     ba_end = 34_000 + EXCHANGE_20
     sim.run_until(ba_end)
     assert bss2.slot_base == ba_end + 34_000

@@ -486,6 +486,15 @@ def test_a_trial_that_loses_a_packet_raises(monkeypatch):
         run_trial(_short(), _params(), 0)
 
 
+def test_a_trial_validates_its_spec():
+    # called directly, as tuning does, not only through run_many
+    spec = replace(scenarios.build_scenario("sp2", 1), duration_s=0.2,
+                   burn_in_s=0.05, interval_s=0.05)
+    with pytest.raises(ValueError, match=r"^burn_in_s 0\.05 must be shorter "
+                                         r"than interval_s 0\.05$"):
+        run_trial(spec, _params(duration_s=0.2), 0)
+
+
 @pytest.mark.parametrize("method", [
     dict(algo="none", static_channel=7, bonding="dcb"),
     dict(algo="ucb", arch="sa"),
