@@ -106,15 +106,17 @@ def _argmax(scores, mask=None):
     """Best-scoring arm among mask (all arms if None); the first in mask
     order wins ties."""
     if mask is None:
-        return int(np.argmax(scores))
-    return int(mask[np.argmax(scores[mask])])
+        return int(scores.argmax())
+    return int(mask[scores[mask].argmax()])
 
 
 class UcbPolicy:
-    """UCB over k arms: mean plus sqrt(alpha ln t / 2N) bonus.
+    """UCB over k arms: mean plus sqrt(alpha ln t / 2N) bonus (Auer et al.
+    2002), scored for every arm in one vector pass.
 
-    Arms are first pulled once each in index order (restricted to the round's
-    mask); ties break to the lowest index.  The context x is ignored.
+    An unpulled arm scores +inf, so arms are first pulled once each in index
+    order (restricted to the round's mask); ties break to the lowest index,
+    or the first in mask order.  The context x is ignored.
     """
 
     needs_context = False
@@ -127,12 +129,12 @@ class UcbPolicy:
         self.t = 0
 
     def select(self, x=None, mask=None):
-        # an unpulled arm scores +inf, so the first one in the mask wins
         log_t = math.log(self.t) if self.t > 1 else 0.0
-        pulled = self.counts > 0
-        scores = np.full(self.n_arms, np.inf)
-        scores[pulled] = self.means[pulled] + np.sqrt(
-            self.alpha * log_t / (2.0 * self.counts[pulled]))
+        counts = self.counts
+        scores = np.divide(self.alpha * log_t, 2.0 * counts,
+                           out=np.full(self.n_arms, np.inf), where=counts > 0)
+        np.sqrt(scores, out=scores)
+        scores += self.means
         return _argmax(scores, mask)
 
     def update(self, arm, x, reward):

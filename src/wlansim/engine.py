@@ -124,3 +124,56 @@ def rng_stream(seed, trial, node, purpose):
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial, node, purpose))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+# draws a BlockRng takes from its generator at a time
+BLOCK = 1024
+_WORD = 1 << 32
+
+
+class BlockRng:
+    """A generator read a block at a time, for one kind of draw.
+
+    integers(low, high) and random(n) return exactly what the generator's
+    own calls would.  integers runs numpy's bounded Lemire method (Lemire
+    2019) on a block of the generator's 32-bit draws: a draw x gives
+    m = x * n, it is drawn again while the low word of m is below
+    2**32 % n, and the result is low + (m >> 32).  random slices a block of
+    the generator's doubles.  The two kinds read the generator differently,
+    so one stream serves one kind only.
+    """
+
+    __slots__ = ("_rng", "_words", "_w", "_doubles", "_d")
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._words = None
+        self._w = BLOCK             # the first draw fills a block
+        self._doubles = np.empty(0)
+        self._d = 0
+
+    def integers(self, low, high):
+        n = high - low
+        if not 1 < n <= _WORD:
+            if n == 1:
+                return low          # numpy takes no draw for one value
+            raise ValueError(f"integers({low}, {high}): 2..2**32 values only")
+        threshold = _WORD % n
+        while True:
+            if self._w == BLOCK:
+                self._words = self._rng.integers(
+                    0, _WORD, BLOCK, dtype=np.uint32).tolist()
+                self._w = 0
+            m = self._words[self._w] * n
+            self._w += 1
+            if m & 0xFFFFFFFF >= threshold:
+                return low + (m >> 32)
+
+    def random(self, n):
+        if self._d + n > len(self._doubles):
+            self._doubles = np.concatenate(
+                (self._doubles[self._d:], self._rng.random(max(n, BLOCK))))
+            self._d = 0
+        out = self._doubles[self._d:self._d + n]
+        self._d += n
+        return out

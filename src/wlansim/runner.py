@@ -8,6 +8,7 @@ yields byte-identical files in any execution order.
 """
 
 import json
+import math
 import multiprocessing
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import agents, engine, mac, metrics, scenarios, traffic
 from .engine import (BACKOFF_STREAM, INTERVAL, PER_STREAM, SEC,
-                     TRAFFIC_STREAM, rng_stream)
+                     TRAFFIC_STREAM, BlockRng, rng_stream)
 from .phy import CHANNEL_GROUPS, GROUP_LABEL, SpectrumState
 
 SCHEMA = 1
@@ -42,6 +43,16 @@ class RunParams:
             raise ValueError("algo=none needs a static channel label 1..7")
         if self.bonding not in (None, mac.SCB, mac.DCB):
             raise ValueError(f"unknown bonding mode {self.bonding!r}")
+        if self.trials is not None and self.trials < 1:
+            raise ValueError(f"trials must be at least 1, not {self.trials}")
+        if self.duration_s is not None and not (
+                math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValueError(
+                f"duration must be positive and finite, not {self.duration_s}")
+        if self.alpha is not None and not (
+                math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(
+                f"alpha must be non-negative and finite, not {self.alpha}")
 
     def method(self):
         if self.algo == "none":
@@ -132,8 +143,10 @@ def run_trial(spec, params, trial, trace_file=None):
                                            params.resolved_alpha())
         bss = mac.Bss(
             b.bss_id, sim, spectrum, metrics.BssMetrics(b.bss_id),
-            rng_backoff=rng_stream(spec.seed, trial, b.bss_id, BACKOFF_STREAM),
-            rng_per=rng_stream(spec.seed, trial, b.bss_id, PER_STREAM),
+            rng_backoff=BlockRng(
+                rng_stream(spec.seed, trial, b.bss_id, BACKOFF_STREAM)),
+            rng_per=BlockRng(
+                rng_stream(spec.seed, trial, b.bss_id, PER_STREAM)),
             mcs_by_width=scenarios.link_mcs_by_width(b), bonding=bonding,
             channels=channels, primary=primary, agent=agent)
         bss.traffic = traffic.make_source(
@@ -258,6 +271,8 @@ def run_many(spec, params, out_dir, workers=1, trace=False):
     params.validate()
     spec.validate()
     spec.duration_ns(params.duration_s)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_trials = params.trials or spec.trials

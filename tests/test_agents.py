@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlansim import agents
 from wlansim.agents import (Action, CW_VALUES, JOINT_ACTIONS, LinUcbPolicy,
@@ -200,6 +202,44 @@ def test_ucb_argmax_invariant_to_mean_shift():
         p.means[:] = np.array([0.1, 0.2, 0.3]) + base
         p.t = 15
     assert a.select() == b.select()
+
+
+def _masked_select(p, mask):
+    """UCB's earlier formula: +inf for an unpulled arm, the index on the
+    pulled ones only."""
+    log_t = math.log(p.t) if p.t > 1 else 0.0
+    pulled = p.counts > 0
+    scores = np.full(p.n_arms, np.inf)
+    scores[pulled] = p.means[pulled] + np.sqrt(
+        p.alpha * log_t / (2.0 * p.counts[pulled]))
+    if mask is None:
+        return int(np.argmax(scores))
+    return int(mask[np.argmax(scores[mask])])
+
+
+@st.composite
+def ucb_states(draw):
+    n = draw(st.integers(1, len(JOINT_ACTIONS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p = UcbPolicy(n, draw(st.sampled_from([0.0, 1.09, 1.14])
+                          | st.floats(0, 10)))
+    # few distinct values, so equal scores and ties are common
+    p.counts[:] = rng.choice([0, 0, 1, 2, 3, 7, 10 ** 6], n)
+    p.means[:] = np.where(rng.random(n) < 0.5,
+                          rng.choice([0.0, 0.1, 0.5, 1 / 3, 1.0], n),
+                          rng.random(n))
+    p.t = draw(st.sampled_from([0, 1, 2, 10 ** 9]) | st.integers(0, 10 ** 6))
+    mask = None
+    if draw(st.booleans()):
+        mask = rng.permutation(n)[:rng.integers(1, n + 1)].tolist()
+    return p, mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=ucb_states())
+def test_ucb_select_matches_the_masked_formula(state):
+    p, mask = state
+    assert p.select(mask=mask) == _masked_select(p, mask)
 
 
 def test_ucb_update_bookkeeping():

@@ -4,8 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wlansim.engine import ARRIVAL, SEC, Scheduler, TIMER, rng_stream
+from wlansim.engine import (ARRIVAL, BLOCK, SEC, BlockRng, Scheduler, TIMER,
+                            rng_stream)
 
 
 def _collect(sim, log, tag):
@@ -151,6 +154,46 @@ def test_rng_stream_keyed_reproducibly():
     for other_key in [(43, 3, 2, 1), (42, 4, 2, 1), (42, 3, 1, 1), (42, 3, 2, 0)]:
         c = rng_stream(*other_key).random(8)
         assert not np.array_equal(a, c)
+
+
+# -- block draws --
+
+# powers of two never reject; 2**31 + 1 rejects about half of its 32-bit
+# draws, 2**32 - 1 one in 2**32; one value takes no draw at all
+bounds = st.sampled_from([1, 2, 16, 1024, 3, 5, 1000, 2 ** 31 + 1,
+                          2 ** 32 - 1, 2 ** 32]) | st.integers(1, 2 ** 32)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), lows=st.lists(st.integers(0, 9),
+       min_size=1, max_size=5), ns=st.lists(bounds, min_size=1, max_size=12))
+def test_block_integers_equal_the_generators_own_calls(seed, lows, ns):
+    own = rng_stream(seed, 0, 1, 0)
+    block = BlockRng(rng_stream(seed, 0, 1, 0))
+    for k in range(3 * BLOCK):    # crosses several block ends
+        low, n = lows[k % len(lows)], ns[k % len(ns)]
+        assert block.integers(low, low + n) == int(own.integers(low, low + n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), sizes=st.lists(
+    st.integers(0, 300) | st.integers(BLOCK - 5, 2 * BLOCK + 5),
+    min_size=1, max_size=12))
+def test_block_random_chunks_equal_one_generator_call(seed, sizes):
+    block = BlockRng(rng_stream(seed, 0, 1, 2))
+    sizes = [*sizes, 97]          # every pass moves on
+    chunks = []
+    while sum(len(c) for c in chunks) < 3.5 * BLOCK:
+        chunks.extend(block.random(n) for n in sizes)
+    got = np.concatenate(chunks)
+    assert np.array_equal(got, rng_stream(seed, 0, 1, 2).random(len(got)))
+
+
+def test_block_integers_reject_an_empty_or_wide_range():
+    block = BlockRng(rng_stream(1, 0, 1, 0))
+    for low, high in ((3, 3), (0, 2 ** 32 + 1)):
+        with pytest.raises(ValueError):
+            block.integers(low, high)
 
 
 # -- arrivals first at a tie --

@@ -47,6 +47,9 @@ def test_params_validation_and_method():
         RunParams(algo="ucb", arch="hier").validate()
     with pytest.raises(ValueError):
         RunParams(algo="none").validate()   # needs a channel label
+    _params(algo="linucb", arch="ma", alpha=0.0).validate()  # greedy LinUCB
+    with pytest.raises(ValueError, match="alpha"):
+        _params(algo="ucb", arch="sa", alpha=float("inf")).validate()
     assert _params().method() == "static-ch2"
     assert RunParams(algo="linucb", arch="sa").method() == "linucb-sa"
 
@@ -262,6 +265,26 @@ def test_cli_error_codes(tmp_path):
                      "--channel", "2"]) == 1
     assert cli.main(["run", "--scenario", "sp1", "--algo", "none",
                      "--trials", "1"]) == 1    # no channel label
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--trials", "0"], "trials must be at least 1"),
+    (["--trials", "-1"], "trials must be at least 1"),
+    (["--duration", "0"], "duration must be positive"),
+    (["--alpha", "-1"], "alpha must be non-negative"),
+    (["--alpha", "nan"], "alpha must be non-negative"),
+    (["--workers", "0"], "workers must be at least 1"),
+], ids=["trials-0", "trials-neg", "duration-0", "alpha-neg", "alpha-nan",
+        "workers-0"])
+def test_cli_rejects_bad_run_flags_before_run_json(tmp_path, capsys, flags,
+                                                   message):
+    out = tmp_path / "runs"
+    rc = cli.main(["run", "--config", str(_short_config(tmp_path)),
+                   "--algo", "ucb", "--arch", "sa", "--duration", "0.1",
+                   "--out", str(out), *flags])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*/run.json"))
 
 
 def test_cli_partial_config_names_the_missing_key(tmp_path, capsys):
