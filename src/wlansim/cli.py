@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import scenarios, tuning
-from .runner import RunParams, load_records, run_many
+from .runner import RunParams, load_records, run_batch
 
 ENV_OUT = "WLANSIM_OUT"
 
@@ -43,7 +43,8 @@ def build_parser():
     run_p.add_argument("--bonding", choices=("scb", "dcb"))
     run_p.add_argument("--channel", type=int, choices=range(1, 8),
                        help="static allocation label for --algo none")
-    run_p.add_argument("--seed", type=int, default=1)
+    run_p.add_argument("--seed", type=int,
+                       help="placement seed for --scenario (default 1)")
     run_p.add_argument("--trials", type=int)
     run_p.add_argument("--duration", type=float, help="seconds")
     run_p.add_argument("--out", default=os.environ.get(ENV_OUT, "runs"))
@@ -51,7 +52,7 @@ def build_parser():
     run_p.add_argument("--decision-log", action="store_true",
                        help="store every (time, action, reward) row")
     run_p.add_argument("--trace", action="store_true",
-                       help="dump per-trial event traces (forces 1 worker)")
+                       help="dump per-trial event traces")
     run_p.add_argument("--export-config", metavar="PATH",
                        help="also write the resolved scenario spec as JSON")
 
@@ -73,9 +74,13 @@ def build_parser():
 
 def _load_spec(args):
     if args.config:
+        if args.seed is not None:
+            raise ValueError("--seed applies to --scenario; a --config file "
+                             "carries its own seed")
         with open(args.config) as fh:
             return scenarios.ScenarioSpec.from_dict(json.load(fh))
-    return scenarios.build_scenario(args.scenario, args.seed)
+    return scenarios.build_scenario(
+        args.scenario, 1 if args.seed is None else args.seed)
 
 
 def _run(args):
@@ -89,23 +94,16 @@ def _run(args):
         Path(args.export_config).parent.mkdir(parents=True, exist_ok=True)
         Path(args.export_config).write_text(
             json.dumps(spec.to_dict(), sort_keys=True, indent=2) + "\n")
-    sweep = (spec.name == "baseline-sweep" and args.channel is None)
-    if sweep:
-        # no channel pinned: run all seven static allocations
-        runs = []
-        for label in range(1, 8):
-            p = RunParams(**{**vars(base), "algo": "none",
-                             "static_channel": label})
-            runs.append((p, out / p.method()))
-    else:
-        if spec.name == "baseline-sweep":
-            base.algo = "none"
-        runs = [(base, out / base.method())]
-    workers = 1 if args.trace else args.workers
-    for params, run_dir in runs:
-        run_many(spec, params, run_dir, workers=workers,
-                 trace=args.trace)
-        print(f"{params.method()}: {run_dir}")
+    params = [base]
+    if spec.name == "baseline-sweep":
+        # the pinned static allocation, or else all seven
+        labels = [args.channel] if args.channel else range(1, 8)
+        params = [RunParams(**{**vars(base), "algo": "none",
+                               "static_channel": label}) for label in labels]
+    dirs = run_batch([(spec, p, out / p.method()) for p in params],
+                     workers=args.workers, trace=args.trace)
+    for p, run_dir in zip(params, dirs):
+        print(f"{p.method()}: {run_dir}")
     return 0
 
 

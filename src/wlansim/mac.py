@@ -116,11 +116,20 @@ class TxQueue:
         """Append at the tail; what does not fit counts as overflow."""
         n = min(len(gens), self.capacity - len(self))
         self.overflow_drops += len(gens) - n
+        self._append(gens[:n], n)
+
+    def fill(self, gen):
+        """Top up to capacity with packets made at gen; returns how many."""
+        n = self.capacity - len(self)
+        self._append(gen, n)
+        return n
+
+    def _append(self, gens, n):
         if self._tail + n > len(self._buf):
             size = len(self)
             self._buf[:size] = self._buf[self._head:self._tail]
             self._head, self._tail = 0, size
-        self._buf[self._tail:self._tail + n] = gens[:n]
+        self._buf[self._tail:self._tail + n] = gens
         self._tail += n
 
     def snapshot_head(self):
@@ -206,7 +215,10 @@ class Bss:
     # -- cycle control --
 
     def start_cycle(self):
-        if self.state != IDLE or not len(self.queue):
+        if self.state != IDLE:
+            return
+        self.traffic.flush()
+        if not len(self.queue):
             return
         now = self.sim.now()
         if self.agent is not None:
@@ -302,11 +314,13 @@ class Bss:
         self.spectrum.remove(tx, now)
         # STA side: per-MPDU error draws and the delays of the packets they
         # deliver, received at the A-MPDU end; the BA carries the ack mask
+        # (None: no MPDU got through)
         acked = self.rng_per.random(len(self.snapshot)) >= self.per
         delays = data_end - self.snapshot[acked]
         self.metrics.record_data_reception(data_end, delays)
         self.sim.schedule(ba + BA_AIRTIME, engine.FRAME_END, self.sta_name,
-                          self._ba_end, exchange, acked, len(delays))
+                          self._ba_end, exchange,
+                          acked if len(delays) else None)
 
     def _data_airtime(self, n_packets):
         width = 20 * len(self.width_set)
@@ -318,10 +332,10 @@ class Bss:
             self._airtime_cache[key] = air
         return air
 
-    def _ba_end(self, exchange, acked, delivered):
+    def _ba_end(self, exchange, acked):
         self.spectrum.release(exchange, self.sim.now())
-        if delivered:
-            self._finish_cycle(SUCCESS, acked, delivered)
+        if acked is not None:
+            self._finish_cycle(SUCCESS, acked)
         else:
             self._attempt_failed()
 
@@ -351,7 +365,7 @@ class Bss:
             # mid-exchange: let the attempt resolve, then terminate
             self.abort_pending = True
 
-    def _finish_cycle(self, outcome, acked=None, released=0):
+    def _finish_cycle(self, outcome, acked=None):
         now = self.sim.now()
         self.traffic.flush()   # arrivals due by now join the queue first
         if self.abort_ev is not None:
@@ -365,7 +379,6 @@ class Bss:
         elif outcome == FAILURE:
             self.queue.drop_head(len(self.snapshot))
             self.metrics.retry_drops += len(self.snapshot)
-            released = len(self.snapshot)
             if self.agent is None:
                 self.cw = beb_next_cw(self.cw, success=True)  # fresh frame
         if self.agent is not None:
@@ -375,8 +388,6 @@ class Bss:
                 (self.cycle_start, self._action_key, reward))
         self.snapshot = None
         self.state = IDLE
-        if released:
-            self.traffic.on_release(released, now)
         self.start_cycle()
         if self.state == IDLE:
             self.traffic.on_idle()

@@ -10,6 +10,7 @@ yields byte-identical files in any execution order.
 import json
 import math
 import multiprocessing
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -41,6 +42,10 @@ class RunParams:
             raise ValueError(f"unknown architecture {self.arch!r}")
         if self.algo == "none" and self.static_channel not in range(1, 8):
             raise ValueError("algo=none needs a static channel label 1..7")
+        if self.algo != "none" and self.static_channel is not None:
+            raise ValueError("a static channel needs algo=none")
+        if self.algo == "none" and self.alpha is not None:
+            raise ValueError("alpha needs a learning algorithm, not algo=none")
         if self.bonding not in (None, mac.SCB, mac.DCB):
             raise ValueError(f"unknown bonding mode {self.bonding!r}")
         if self.trials is not None and self.trials < 1:
@@ -259,44 +264,55 @@ def _dump_records(records):
                    for r in records)
 
 
-def _worker(args):
-    spec_dict, params_dict, trial = args
+def _worker(job):
+    """One (run, trial) job; with a trace path, it also logs the events."""
+    _, run, spec_dict, params_dict, trial, trace_path = job
     spec = scenarios.ScenarioSpec.from_dict(spec_dict)
-    params = RunParams(**params_dict)
-    return trial, _dump_records(run_trial(spec, params, trial))
+    with open(trace_path, "w") if trace_path else nullcontext() as fh:
+        return run, trial, _dump_records(
+            run_trial(spec, RunParams(**params_dict), trial, fh))
+
+
+def run_batch(runs, workers=1, trace=False):
+    """Run every trial of every (spec, params, out_dir) in runs, validated
+    first, and write each run.json, trial_NNN.jsonl (trace_NNN.log) and
+    summary.jsonl; returns the run directories.  All trials, longest run
+    first, share one pool of workers processes (this process at one
+    worker); their bytes depend on neither."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
+    for spec, params, _ in runs:
+        params.validate()
+        spec.validate()
+        spec.duration_ns(params.duration_s)
+    outs, jobs = [Path(out_dir) for _, _, out_dir in runs], []
+    for i, (spec, params, _) in enumerate(runs):
+        head = {"scenario": spec.to_dict(), "params": asdict(params),
+                "trials": params.trials or spec.trials, "schema": SCHEMA}
+        outs[i].mkdir(parents=True, exist_ok=True)
+        (outs[i] / "run.json").write_text(
+            json.dumps(head, sort_keys=True, indent=2) + "\n")
+        jobs += [(-spec.duration_ns(params.duration_s), i, head["scenario"],
+                  head["params"], t,
+                  outs[i] / f"trace_{t:03d}.log" if trace else None)
+                 for t in range(head["trials"])]
+    jobs.sort(key=lambda job: job[0])       # longest run first
+    workers = min(workers, len(jobs))       # no idle processes
+    # spawned, not forked: a fork copies locks that other threads hold
+    pool = (multiprocessing.get_context("spawn").Pool(workers)
+            if workers > 1 else nullcontext())
+    with pool:
+        for run, trial, text in (pool.imap_unordered(_worker, jobs)
+                                 if workers > 1 else map(_worker, jobs)):
+            (outs[run] / f"trial_{trial:03d}.jsonl").write_text(text)
+    for out in outs:
+        (out / "summary.jsonl").write_text(_dump_records(summarize(out)))
+    return outs
 
 
 def run_many(spec, params, out_dir, workers=1, trace=False):
-    """Run all trials, write one JSONL file per trial plus a summary."""
-    params.validate()
-    spec.validate()
-    spec.duration_ns(params.duration_s)
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, not {workers}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    n_trials = params.trials or spec.trials
-    (out / "run.json").write_text(json.dumps(
-        {"scenario": spec.to_dict(), "params": asdict(params),
-         "trials": n_trials, "schema": SCHEMA}, sort_keys=True, indent=2)
-        + "\n")
-    jobs = [(spec.to_dict(), asdict(params), t) for t in range(n_trials)]
-    if trace:
-        results = []
-        for t in range(n_trials):
-            with open(out / f"trace_{t:03d}.log", "w") as fh:
-                recs = run_trial(spec, params, t, trace_file=fh)
-            results.append((t, _dump_records(recs)))
-    elif workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_worker, jobs)
-    else:
-        results = [_worker(j) for j in jobs]
-    for trial, text in sorted(results):
-        (out / f"trial_{trial:03d}.jsonl").write_text(text)
-    summary = summarize(out)
-    (out / "summary.jsonl").write_text(_dump_records(summary))
-    return out
+    """run_batch of one run; returns its directory."""
+    return run_batch([(spec, params, out_dir)], workers, trace)[0]
 
 
 def load_records(run_dir):

@@ -11,7 +11,8 @@ to a busy AP are not events: the AP can only see them when it reads its
 queue, so the source pushes the ones due by each read (flush) and turns the
 next one back into an event when the AP goes idle (on_idle).  As the engine
 runs the arrivals of a nanosecond before its other events, "due by a read at
-now" is simply "at or before now".
+now" is simply "at or before now".  A full-buffer source acts on the same
+read: it tops the queue back up to capacity with packets generated then.
 """
 
 import numpy as np
@@ -55,9 +56,6 @@ class _Source:
     flush() before it reads or trims its queue and on_idle() when the queue
     has run dry; only a source that holds arrivals back acts on them."""
 
-    def on_release(self, count, now):
-        pass
-
     def set_rate(self, rate_bps, sim):
         pass
 
@@ -69,7 +67,7 @@ class _Source:
 
 
 class FullBufferSource(_Source):
-    """Keeps the queue pinned at capacity; no arrival events needed."""
+    """Tops the queue up to capacity at each read; no arrival events."""
 
     kind = FULL_BUFFER
 
@@ -77,11 +75,12 @@ class FullBufferSource(_Source):
         self.bss = bss
 
     def start(self, sim):
+        self._sim = sim
         room = self.bss.queue.capacity - len(self.bss.queue)
         self.bss.on_arrival(self.bss.make_packets(np.full(room, sim.now())))
 
-    def on_release(self, count, now):
-        self.bss.on_arrival(self.bss.make_packets(np.full(count, now)))
+    def flush(self):
+        self.bss.issued += self.bss.queue.fill(self._sim.now())
 
 
 class _RatedSource(_Source):
@@ -145,12 +144,10 @@ class _RatedSource(_Source):
         self._wake()
 
     def flush(self):
-        if not self._held:
-            return
         now = self._sim.now()
+        if not self._held or self._times[self._i] > now:
+            return    # nothing due
         k = int(self._times.searchsorted(now, "right"))
-        if k == self._i:
-            return
         due = self._times[self._i:k]
         self._advance(k)
         while self._times[self._i] <= now:    # due ones ran past the plan

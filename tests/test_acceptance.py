@@ -5,16 +5,17 @@ desk-scale reruns of the single- and multi-AP experiments.  Each test prints
 one "criterion NN <slug>: PASS/FAIL" line on the real stdout so the gate can
 be audited from plain pytest output.
 
-The simulation runs behind criteria 8-12 are minutes of wall time; their
-result directories are cached under /tmp keyed by a hash of the package
-source, so a repeated invocation on unchanged code reuses them.
+The simulation runs behind criteria 8-11 are minutes of wall time.  They
+are one table of named runs (RUNS); the first criterion that reads one
+builds every run missing from the cache, all trials of all runs through one
+pool.  The cache lives under /tmp keyed by a hash of the package source, so
+a repeated invocation on unchanged code reuses it.
 """
 
 import hashlib
 import os
 from collections import Counter
 from contextlib import contextmanager
-from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
@@ -29,8 +30,8 @@ from wlansim.agents import (CONTEXT_DIMS, CW_VALUES, JOINT_ACTIONS,
                             make_controller)
 from wlansim.engine import SEC
 from wlansim.phy import BASIC_CHANNELS, CHANNEL_GROUPS
-from wlansim.runner import RunParams, load_records, run_many, run_trial
-from wlansim.runner import _dump_records
+from wlansim.runner import (RunParams, _dump_records, load_records,
+                            run_batch, run_many, run_trial)
 
 SEED = 1
 TRIALS = 5
@@ -74,61 +75,38 @@ def criterion(num, slug):
     print(line)
 
 
-# -- cached scenario runs --
+# -- the scenario runs behind criteria 8-11 --
 
-def _run_cached(name, spec, params):
-    out = CACHE / name
-    if not (out / "summary.jsonl").exists():
-        # criterion 12 pins the bytes as independent of the worker count
-        run_many(spec, params, out, workers=os.cpu_count())
-    return out
+LEARNERS = (("linucb", "ma"), ("linucb", "sa"), ("ucb", "ma"), ("ucb", "sa"))
 
-
-@lru_cache(maxsize=None)
-def sp1_static(label):
-    spec = scenarios.build_scenario("sp1", SEED)
-    params = RunParams(algo="none", static_channel=label, trials=TRIALS,
-                       duration_s=10.0)
-    return _run_cached(f"sp1-static-ch{label}", spec, params)
-
-
-@lru_cache(maxsize=None)
-def sp1_learning(algo, arch):
-    spec = scenarios.build_scenario("sp1", SEED)
-    params = RunParams(algo=algo, arch=arch, trials=TRIALS, duration_s=10.0,
-                       decision_log=True)
-    return _run_cached(f"sp1-{algo}-{arch}", spec, params)
+# run name -> RunParams fields; the name starts with the scenario.  Of runs
+# that last equally long, the pool starts the earlier ones first.
+RUNS = {
+    **{f"{scenario}-{algo}-{arch}": dict(algo=algo, arch=arch,
+                                         decision_log=True)
+       for scenario in ("mp1", "sp2-scb") for algo, arch in LEARNERS},
+    "mp1-static-ch7": dict(algo="none", static_channel=7),
+    **{f"sp2-{bonding}-static-ch{label}": dict(
+        algo="none", static_channel=label, bonding=bonding)
+       for bonding, labels in (("scb", range(1, 8)), ("dcb", (1, 3, 5, 6, 7)))
+       for label in labels},
+    **{f"sp1-{algo}-ma": dict(algo=algo, arch="ma", duration_s=10.0,
+                              decision_log=True) for algo in ("linucb", "ucb")},
+    **{f"sp1-static-ch{label}": dict(algo="none", static_channel=label,
+                                     duration_s=10.0) for label in range(1, 8)},
+}
 
 
-@lru_cache(maxsize=None)
-def sp2_static(label, bonding="scb"):
-    spec = scenarios.build_scenario("sp2", SEED)
-    params = RunParams(algo="none", static_channel=label, trials=TRIALS,
-                       bonding=bonding)
-    return _run_cached(f"sp2-{bonding}-static-ch{label}", spec, params)
-
-
-@lru_cache(maxsize=None)
-def sp2_learning(algo, arch):
-    spec = scenarios.build_scenario("sp2", SEED)
-    params = RunParams(algo=algo, arch=arch, trials=TRIALS,
-                       decision_log=True)
-    return _run_cached(f"sp2-scb-{algo}-{arch}", spec, params)
-
-
-@lru_cache(maxsize=None)
-def mp1_learning(algo, arch):
-    spec = scenarios.build_scenario("mp1", SEED)
-    params = RunParams(algo=algo, arch=arch, trials=TRIALS,
-                       decision_log=True)
-    return _run_cached(f"mp1-{algo}-{arch}", spec, params)
-
-
-@lru_cache(maxsize=None)
-def mp1_static7():
-    spec = scenarios.build_scenario("mp1", SEED)
-    params = RunParams(algo="none", static_channel=7, trials=TRIALS)
-    return _run_cached("mp1-static-ch7", spec, params)
+def run_dir(name):
+    """The directory of run name.  Every call first builds the runs of RUNS
+    missing from the cache, all trials of all of them through one pool."""
+    # criterion 12 pins the bytes as independent of the worker count
+    run_batch([(scenarios.build_scenario(run.split("-")[0], SEED),
+                RunParams(trials=TRIALS, **fields), CACHE / run)
+               for run, fields in RUNS.items()
+               if not (CACHE / run / "summary.jsonl").exists()],
+              workers=os.cpu_count())
+    return CACHE / name
 
 
 # -- record readers --
@@ -337,21 +315,21 @@ def test_criterion_07_synthetic_bandit_regret():
 
 def test_criterion_08_sp1_reproduction():
     with criterion(8, "sp1-static-ranking-and-convergence"):
-        static_mean = {label: float(np.mean(_bss_goodputs(sp1_static(label),
-                                                          bss_id=1)))
-                       for label in range(1, 8)}
+        static_mean = {label: float(np.mean(_bss_goodputs(
+            run_dir(f"sp1-static-ch{label}"), bss_id=1)))
+            for label in range(1, 8)}
         ranked = sorted(static_mean, key=static_mean.get)
         assert ranked[-1] == 2, static_mean
         assert ranked[0] == 7, static_mean
         assert static_mean[2] == pytest.approx(209.4, rel=0.25)
         assert static_mean[7] == pytest.approx(11.5, rel=0.25)
 
-        fracs = _pooled_label_fractions(sp1_learning("linucb", "ma"))
+        fracs = _pooled_label_fractions(run_dir("sp1-linucb-ma"))
         assert fracs.get("ch2", 0.0) > 0.90, fracs
 
         pair_counts = Counter()
         total = 0
-        for per_bss in _decision_rows(sp1_learning("ucb", "ma")).values():
+        for per_bss in _decision_rows(run_dir("sp1-ucb-ma")).values():
             for t, key, _r in per_bss[1]:
                 if t >= BURN_NS:
                     ch, _p, cw = key.split(":")
@@ -364,17 +342,18 @@ def test_criterion_08_sp1_reproduction():
 def test_criterion_09_sp2_reproduction():
     with criterion(9, "sp2-interval-tracking"):
         static_mean = {label: float(np.mean(_bss_goodputs(
-            sp2_static(label), bss_id=1))) for label in range(1, 8)}
+            run_dir(f"sp2-scb-static-ch{label}"), bss_id=1)))
+            for label in range(1, 8)}
         learn_mean = {(algo, arch): float(np.mean(_bss_goodputs(
-            sp2_learning(algo, arch), bss_id=1)))
-            for algo in ("ucb", "linucb") for arch in ("sa", "ma")}
+            run_dir(f"sp2-scb-{algo}-{arch}"), bss_id=1)))
+            for algo, arch in LEARNERS}
         assert min(learn_mean.values()) > max(static_mean.values()), (
             learn_mean, static_mean)
         assert min(static_mean, key=static_mean.get) == 7, static_mean
 
         windows = metrics.interval_windows(60 * SEC, 15 * SEC, BURN_NS)
         for arch in ("sa", "ma"):
-            run = sp2_learning("linucb", arch)
+            run = run_dir(f"sp2-scb-linucb-{arch}")
             sched = _schedules(run)
             hits, totals = Counter(), Counter()
             for trial, per_bss in _decision_rows(run).items():
@@ -390,7 +369,7 @@ def test_criterion_09_sp2_reproduction():
 
 def test_criterion_10_sp2_dcb_sanity():
     with criterion(10, "sp2-dcb-bonding-sanity"):
-        ivs = {label: _interval_goodputs(sp2_static(label, bonding="dcb"))
+        ivs = {label: _interval_goodputs(run_dir(f"sp2-dcb-static-ch{label}"))
                for label in (1, 3, 5, 6, 7)}
         # bonded static vs its primary-only 20 MHz counterpart, compared on
         # the intervals whose underloaded channel equals that primary
@@ -404,13 +383,15 @@ def test_criterion_10_sp2_dcb_sanity():
 
 def test_criterion_11_mp1_coexistence():
     with criterion(11, "mp1-multi-ap-coexistence"):
-        for algo in ("ucb", "linucb"):
-            for arch in ("sa", "ma"):
-                fracs = _pooled_label_fractions(mp1_learning(algo, arch))
-                assert fracs.get("ch7", 0.0) < 0.05, (algo, arch, fracs)
+        clauses = {}    # clause -> (holds, value); every clause is evaluated
+        for algo, arch in LEARNERS:
+            share = _pooled_label_fractions(
+                run_dir(f"mp1-{algo}-{arch}")).get("ch7", 0.0)
+            clauses[f"{algo}-{arch} ch7 share < 0.05"] = (share < 0.05,
+                                                          f"{share:.4f}")
 
         # the three UCB APs settle on three distinct 20 MHz channels
-        run = mp1_learning("ucb", "ma")
+        run = run_dir("mp1-ucb-ma")
         orthogonal_trials = 0
         for per_bss in _decision_rows(run).values():
             modal = set()
@@ -421,18 +402,24 @@ def test_criterion_11_mp1_coexistence():
             if (len(modal) == 3
                     and modal <= {"ch1", "ch2", "ch3", "ch4"}):
                 orthogonal_trials += 1
-        assert orthogonal_trials >= 4, orthogonal_trials
+        clauses["ucb-ma orthogonal trials >= 4"] = (orthogonal_trials >= 4,
+                                                    orthogonal_trials)
 
-        jains = [r["learning"] for r in load_records(run)
-                 if r["record"] == "fairness"]
-        assert float(np.mean(jains)) >= 0.99, jains
+        jain = float(np.mean([r["learning"] for r in load_records(run)
+                              if r["record"] == "fairness"]))
+        clauses["ucb-ma mean learning Jain >= 0.99"] = (jain >= 0.99,
+                                                        f"{jain:.4f}")
 
-        base = float(np.mean(_bss_goodputs(mp1_static7())))
+        base = float(np.mean(_bss_goodputs(run_dir("mp1-static-ch7"))))
         by_algo = {algo: float(np.mean(
-            _bss_goodputs(mp1_learning(algo, "sa"))
-            + _bss_goodputs(mp1_learning(algo, "ma"))))
+            _bss_goodputs(run_dir(f"mp1-{algo}-sa"))
+            + _bss_goodputs(run_dir(f"mp1-{algo}-ma"))))
             for algo in ("ucb", "linucb")}
-        assert by_algo["linucb"] >= by_algo["ucb"] >= base, (by_algo, base)
+        clauses["goodput per AP linucb >= ucb >= static #7"] = (
+            by_algo["linucb"] >= by_algo["ucb"] >= base,
+            f"{by_algo['linucb']:.1f}, {by_algo['ucb']:.1f}, {base:.1f} Mbps")
+        failed = [f"{c}: {v}" for c, (holds, v) in clauses.items() if not holds]
+        assert not failed, "\n".join(failed)
 
 
 def test_criterion_12_determinism():

@@ -14,8 +14,8 @@ from wlansim.engine import SEC
 from wlansim.mac import PACKET_BYTES
 from wlansim.phy import BA_AIRTIME, SIFS
 from wlansim.runner import (RunParams, _dump_records,
-                            _trial_assignments, load_records, run_many,
-                            run_trial, summarize)
+                            _trial_assignments, load_records, run_batch,
+                            run_many, run_trial, summarize)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -33,10 +33,20 @@ def _short(name="sp1", seed=3):
     return spec
 
 
-def _short_config(tmp_path, name="sp1"):
-    cfg = tmp_path / f"{name}-short.json"
-    cfg.write_text(json.dumps(_short(name).to_dict()))
-    return cfg
+def _config(tmp_path, spec):
+    """Write spec (a ScenarioSpec or a dict) as a config; returns its path."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(spec if isinstance(spec, dict)
+                              else spec.to_dict()))
+    return str(cfg)
+
+
+def _rejected(tmp_path, capsys, *args):
+    """`wlansim run` args: exit 1, nothing under --out; returns stderr."""
+    out = tmp_path / "runs"
+    assert cli.main(["run", *args, "--out", str(out)]) == 1
+    assert not out.exists()
+    return capsys.readouterr().err
 
 
 def test_params_validation_and_method():
@@ -47,9 +57,9 @@ def test_params_validation_and_method():
         RunParams(algo="ucb", arch="hier").validate()
     with pytest.raises(ValueError):
         RunParams(algo="none").validate()   # needs a channel label
-    _params(algo="linucb", arch="ma", alpha=0.0).validate()  # greedy LinUCB
+    RunParams(algo="linucb", arch="ma", alpha=0.0).validate()  # greedy LinUCB
     with pytest.raises(ValueError, match="alpha"):
-        _params(algo="ucb", arch="sa", alpha=float("inf")).validate()
+        RunParams(algo="ucb", arch="sa", alpha=float("inf")).validate()
     assert _params().method() == "static-ch2"
     assert RunParams(algo="linucb", arch="sa").method() == "linucb-sa"
 
@@ -59,6 +69,11 @@ def test_unknown_bonding_fails_before_run_json(tmp_path):
     with pytest.raises(ValueError, match="unknown bonding mode 'half'"):
         run_many(_short(), params, tmp_path / "r")
     assert not (tmp_path / "r" / "run.json").exists()
+    # nor does a valid run batched before it get one
+    with pytest.raises(ValueError, match="unknown bonding mode 'half'"):
+        run_batch([(_short(), _params(), tmp_path / "ok"),
+                   (_short(), params, tmp_path / "r")], workers=2)
+    assert not list(tmp_path.glob("*/run.json"))
     # direct callers such as tuning keep the guard
     with pytest.raises(ValueError, match="unknown bonding mode 'half'"):
         run_trial(_short(), params, trial=0)
@@ -155,16 +170,18 @@ def test_interval_machinery_small_scale():
 
 def test_run_many_files_and_reproducibility(tmp_path):
     spec = _short()
+    longer = _params(static_channel=5, duration_s=0.4)
     a = run_many(spec, _params(), tmp_path / "a")
-    for name in ("run.json", "trial_000.jsonl", "trial_001.jsonl",
-                 "summary.jsonl"):
-        assert (a / name).exists()
-    run_many(spec, _params(), tmp_path / "b")
-    assert (a / "trial_000.jsonl").read_bytes() == \
-        (tmp_path / "b" / "trial_000.jsonl").read_bytes()
-    run_many(spec, _params(), tmp_path / "c", workers=2)
-    for name in ("trial_000.jsonl", "trial_001.jsonl", "summary.jsonl"):
-        assert (a / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
+    assert sorted(p.name for p in a.iterdir()) == [
+        "run.json", "summary.jsonl", "trial_000.jsonl", "trial_001.jsonl"]
+    d = run_many(spec, longer, tmp_path / "d")
+    # both again, through one pool of two workers: every file keeps the
+    # bytes of the one-worker run on its own
+    e, f = run_batch([(spec, _params(), tmp_path / "e"),
+                      (spec, longer, tmp_path / "f")], workers=2)
+    for alone, batched in ((a, e), (d, f)):
+        assert {p.name: p.read_bytes() for p in alone.iterdir()} == \
+            {p.name: p.read_bytes() for p in batched.iterdir()}
 
 
 def test_summary_recomputes_from_trials(tmp_path):
@@ -195,9 +212,9 @@ def test_cli_list_scenarios(capsys):
 
 def test_cli_run_and_export(tmp_path, capsys):
     # short run: trim the burn-in below the duration via a config file
-    cfg = _short_config(tmp_path)
+    cfg = _config(tmp_path, _short())
     out = tmp_path / "runs"
-    rc = cli.main(["run", "--config", str(cfg), "--algo", "none",
+    rc = cli.main(["run", "--config", cfg, "--algo", "none",
                    "--channel", "2", "--trials", "1",
                    "--duration", "0.3", "--out", str(out)])
     assert rc == 0
@@ -219,7 +236,7 @@ def test_cli_run_and_export(tmp_path, capsys):
 def test_cli_config_round_trip(tmp_path):
     cfg = tmp_path / "spec.json"
     a = tmp_path / "a"
-    rc = cli.main(["run", "--config", str(_short_config(tmp_path)),
+    rc = cli.main(["run", "--config", _config(tmp_path, _short()),
                    "--algo", "none", "--channel", "2", "--trials", "1",
                    "--duration", "0.2", "--out", str(a),
                    "--export-config", str(cfg)])
@@ -236,35 +253,38 @@ def test_cli_config_round_trip(tmp_path):
 
 
 def test_cli_trace_writes_event_log(tmp_path):
-    out = tmp_path / "runs"
-    rc = cli.main(["run", "--config", str(_short_config(tmp_path)),
-                   "--algo", "none", "--channel", "2", "--trials", "1",
-                   "--duration", "0.1", "--trace", "--workers", "4",
-                   "--out", str(out)])
-    assert rc == 0
-    trace = (out / "static-ch2" / "trace_000.log").read_text()
-    assert " backoff ap1" in trace
+    traces = {}
+    for workers in ("4", "1"):
+        out = tmp_path / workers
+        rc = cli.main(["run", "--config", _config(tmp_path, _short()),
+                       "--algo", "none", "--channel", "2", "--trials", "2",
+                       "--duration", "0.1", "--trace", "--workers", workers,
+                       "--out", str(out)])
+        assert rc == 0
+        traces[workers] = [p.read_text() for p in
+                           sorted((out / "static-ch2").glob("trace_*.log"))]
+    assert " backoff ap1" in traces["4"][0]
+    assert len(traces["4"]) == 2 and traces["4"] == traces["1"]
 
 
 def test_cli_baseline_sweep_covers_all_allocations(tmp_path):
     out = tmp_path / "sweep"
-    cfg = _short_config(tmp_path, "baseline-sweep")
-    rc = cli.main(["run", "--config", str(cfg), "--trials", "1",
+    cfg = _config(tmp_path, _short("baseline-sweep"))
+    rc = cli.main(["run", "--config", cfg, "--trials", "1",
                    "--duration", "0.1", "--out", str(out)])
     assert rc == 0
     for label in range(1, 8):
         assert (out / f"static-ch{label}" / "run.json").exists()
 
 
-def test_cli_error_codes(tmp_path):
-    assert cli.main(["run", "--config", str(tmp_path / "nope.json"),
-                     "--algo", "none", "--channel", "2"]) == 1
+def test_cli_error_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert cli.main(["run", "--config", str(bad), "--algo", "none",
-                     "--channel", "2"]) == 1
-    assert cli.main(["run", "--scenario", "sp1", "--algo", "none",
-                     "--trials", "1"]) == 1    # no channel label
+    for config in (tmp_path / "nope.json", bad):
+        _rejected(tmp_path, capsys, "--config", str(config), "--algo", "none",
+                  "--channel", "2")
+    _rejected(tmp_path, capsys, "--scenario", "sp1", "--algo", "none",
+              "--trials", "1")    # no channel label
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -274,26 +294,24 @@ def test_cli_error_codes(tmp_path):
     (["--alpha", "-1"], "alpha must be non-negative"),
     (["--alpha", "nan"], "alpha must be non-negative"),
     (["--workers", "0"], "workers must be at least 1"),
+    (["--channel", "3"], "static channel needs algo=none"),
+    (["--algo", "none", "--channel", "3", "--alpha", "5"],
+     "alpha needs a learning algorithm"),
+    (["--seed", "7"], "--seed applies to --scenario"),
 ], ids=["trials-0", "trials-neg", "duration-0", "alpha-neg", "alpha-nan",
-        "workers-0"])
+        "workers-0", "channel-with-ucb", "alpha-with-none",
+        "seed-with-config"])
 def test_cli_rejects_bad_run_flags_before_run_json(tmp_path, capsys, flags,
                                                    message):
-    out = tmp_path / "runs"
-    rc = cli.main(["run", "--config", str(_short_config(tmp_path)),
-                   "--algo", "ucb", "--arch", "sa", "--duration", "0.1",
-                   "--out", str(out), *flags])
-    assert rc == 1
-    assert message in capsys.readouterr().err
-    assert not list(out.glob("*/run.json"))
+    assert message in _rejected(
+        tmp_path, capsys, "--config", _config(tmp_path, _short()), "--algo", "ucb",
+        "--arch", "sa", "--duration", "0.1", *flags)
 
 
 def test_cli_partial_config_names_the_missing_key(tmp_path, capsys):
-    cfg = tmp_path / "partial.json"
-    cfg.write_text(json.dumps({"name": "x", "seed": 1, "bss": []}))
-    rc = cli.main(["run", "--config", str(cfg), "--algo", "none",
-                   "--channel", "2", "--out", str(tmp_path / "runs")])
-    assert rc == 1
-    assert "'bonding'" in capsys.readouterr().err
+    cfg = _config(tmp_path, {"name": "x", "seed": 1, "bss": []})
+    assert "'bonding'" in _rejected(tmp_path, capsys, "--config", cfg,
+                                    "--algo", "none", "--channel", "2")
 
 
 def test_cli_interval_schedule_needs_three_legacy_bss(tmp_path, capsys):
@@ -301,15 +319,9 @@ def test_cli_interval_schedule_needs_three_legacy_bss(tmp_path, capsys):
     spec = scenarios.build_scenario("mp1", seed=3)
     spec.interval_s = 0.25
     spec.burn_in_s = 0.1
-    cfg = tmp_path / "mp1-intervals.json"
-    cfg.write_text(json.dumps(spec.to_dict()))
-    out = tmp_path / "runs"
-    rc = cli.main(["run", "--config", str(cfg), "--algo", "ucb",
-                   "--arch", "sa", "--trials", "1", "--duration", "0.5",
-                   "--out", str(out)])
-    assert rc == 1
-    assert "3 legacy" in capsys.readouterr().err
-    assert not out.exists()
+    assert "3 legacy" in _rejected(
+        tmp_path, capsys, "--config", _config(tmp_path, spec), "--algo", "ucb",
+        "--arch", "sa", "--trials", "1", "--duration", "0.5")
 
 
 def test_cli_duration_within_the_burn_in_fails_fast(tmp_path, capsys):
@@ -319,28 +331,18 @@ def test_cli_duration_within_the_burn_in_fails_fast(tmp_path, capsys):
     spec.interval_s = 0.25
     spec.burn_in_s = 0.2
     spec.duration_s = 1.0     # the config's own run fits the schedule
-    cfg = tmp_path / "sp2-short.json"
-    cfg.write_text(json.dumps(spec.to_dict()))
-    out = tmp_path / "runs"
-    rc = cli.main(["run", "--config", str(cfg), "--algo", "none",
-                   "--channel", "2", "--trials", "1", "--duration", "0.1",
-                   "--out", str(out)])
-    assert rc == 1
-    assert "burn-in of 0.2 s" in capsys.readouterr().err
-    assert not out.exists()
+    assert "burn-in of 0.2 s" in _rejected(
+        tmp_path, capsys, "--config", _config(tmp_path, spec), "--algo",
+        "none", "--channel", "2", "--trials", "1", "--duration", "0.1")
 
 
 def test_cli_duration_within_the_burn_in_fails_fast_without_a_schedule(
         tmp_path, capsys):
     # 0.1 s of sp1 under its 2 s burn-in used to report goodput 0.0 over an
     # empty window
-    out = tmp_path / "runs"
-    rc = cli.main(["run", "--scenario", "sp1", "--algo", "none",
-                   "--channel", "2", "--trials", "1", "--duration", "0.1",
-                   "--out", str(out)])
-    assert rc == 1
-    assert "burn-in of 2 s" in capsys.readouterr().err
-    assert not out.exists()
+    assert "burn-in of 2 s" in _rejected(
+        tmp_path, capsys, "--scenario", "sp1", "--algo", "none", "--channel",
+        "2", "--trials", "1", "--duration", "0.1")
 
 
 def test_tuning_deployments_outlast_their_burn_in():
@@ -357,16 +359,10 @@ def test_cli_burn_in_past_the_interval_fails_fast(tmp_path, capsys,
     spec = scenarios.build_scenario("sp2", seed=3)
     spec.interval_s = 0.25
     spec.burn_in_s = burn_in_s
-    cfg = tmp_path / "sp2-burn-in.json"
-    cfg.write_text(json.dumps(spec.to_dict()))
-    out = tmp_path / "runs"
-    rc = cli.main(["run", "--config", str(cfg), "--algo", "none",
-                   "--channel", "2", "--trials", "1", "--duration", "1",
-                   "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
+    err = _rejected(tmp_path, capsys, "--config", _config(tmp_path, spec),
+                    "--algo", "none", "--channel", "2", "--trials", "1",
+                    "--duration", "1")
     assert "burn_in_s" in err and "interval_s" in err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -377,13 +373,9 @@ def test_cli_malformed_bss_fields_are_named(tmp_path, capsys, field, value,
                                              message):
     d = scenarios.build_scenario("sp1", seed=3).to_dict()
     d["bss"][0][field] = value
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(d))
-    rc = cli.main(["run", "--config", str(cfg), "--algo", "none",
-                   "--channel", "2", "--trials", "1", "--duration", "0.1",
-                   "--out", str(tmp_path / "runs")])
-    assert rc == 1
-    err = capsys.readouterr().err
+    err = _rejected(tmp_path, capsys, "--config", _config(tmp_path, d),
+                    "--algo", "none", "--channel", "2", "--trials", "1",
+                    "--duration", "0.1")
     assert message in err and "BSS 1" in err
 
 
@@ -392,21 +384,14 @@ def test_cli_bad_traffic_names_its_bss(tmp_path, capsys):
     d = json.loads((CONFIGS / "sp2.json").read_text())
     (b,) = [b for b in d["bss"] if b["bss_id"] == 2]
     b["traffic"]["load"] = 1e4
-    cfg = tmp_path / "sp2-overload.json"
-    cfg.write_text(json.dumps(d))
-    out = tmp_path / "runs"
-    rc = cli.main(["run", "--config", str(cfg), "--algo", "none",
-                   "--channel", "2", "--trials", "1", "--duration", "0.1",
-                   "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "BSS 2: traffic kind 'random' needs a load" in err
-    assert not out.exists()
+    assert "BSS 2: traffic kind 'random' needs a load" in _rejected(
+        tmp_path, capsys, "--config", _config(tmp_path, d), "--algo", "none",
+        "--channel", "2", "--trials", "1", "--duration", "0.1")
 
 
 def test_cli_out_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("WLANSIM_OUT", str(tmp_path / "envruns"))
-    rc = cli.main(["run", "--config", str(_short_config(tmp_path)),
+    rc = cli.main(["run", "--config", _config(tmp_path, _short()),
                    "--algo", "none", "--channel", "2", "--trials", "1",
                    "--duration", "0.1"])
     assert rc == 0
@@ -440,13 +425,9 @@ def test_duration_past_the_load_schedule_fails_fast(tmp_path, capsys):
     with pytest.raises(ValueError):
         run_trial(spec, params, trial=0)
 
-    cfg = tmp_path / "sp2-short.json"
-    cfg.write_text(json.dumps(spec.to_dict()))
-    rc = cli.main(["run", "--config", str(cfg), "--algo", "none",
-                   "--channel", "2", "--trials", "1", "--duration", "2.6",
-                   "--out", str(tmp_path / "runs")])
-    assert rc == 1
-    assert "load intervals" in capsys.readouterr().err
+    assert "load intervals" in _rejected(
+        tmp_path, capsys, "--config", _config(tmp_path, spec), "--algo",
+        "none", "--channel", "2", "--trials", "1", "--duration", "2.6")
     params.duration_s = 2.0
     assert spec.duration_ns(params.duration_s) == 2 * SEC
 

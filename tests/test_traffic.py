@@ -19,6 +19,7 @@ class SinkBss:
     bss_id = 0
     ap_name = "ap0"
     state = mac.IDLE
+    issued = 0               # counted by a full-buffer top-up only
 
     def __init__(self):
         self.queue = TxQueue()
@@ -132,9 +133,14 @@ def test_full_buffer_fills_and_tracks_releases():
     src = FullBufferSource(sink)
     src.start(sim)
     assert len(sink.queue) == 500
-    sink.queue.drop_head(43)
-    src.on_release(43, sim.now())
-    assert len(sink.queue) == 500
+    # a flush tops the queue back up with packets generated at the flush
+    sink.queue.drop_head(500)
+    sim.run_until(7)
+    src.flush()
+    assert (len(sink.queue), sink.issued) == (500, 500)
+    assert list(sink.queue.snapshot_head()) == [7] * mac.AMPDU_PACKETS
+    src.flush()
+    assert sink.issued == 500
 
 
 def test_set_rate_replaces_pending_arrival():
