@@ -34,6 +34,8 @@ INTERVAL = "interval"
 # by seq (below 2**40), which keeps a cancelled arrival's key apart
 _ARRIVAL_KEY = -2 ** 62
 _BSS_SHIFT = 40
+# the largest bss_id whose arrival keys stay below every other event's
+MAX_BSS_ID = (-_ARRIVAL_KEY >> _BSS_SHIFT) - 1
 
 
 class Event:

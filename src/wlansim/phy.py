@@ -11,8 +11,13 @@ holds its channels busy until its BlockACK ends, across each SIFS gap.
 Every node hears every frame, so no other BSS may start a frame inside
 the exchange; add() raises if one does.  The CTS, A-MPDU and BlockACK of
 a held exchange never go on the air as frames: the hold carries their
-planned times, and the readers work on those.  Only a BSS registered with
-observe() keeps the foreign occupancy history the learning features read.
+planned times.
+
+Both learning features, F1 and F2, are kept only for a BSS registered
+with observe(), from one history of foreign air.  Each frame enters it
+once, when its span is fixed: an RTS at its start, and the CTS, A-MPDU
+and BlockACK of an exchange when the hold starts, ahead of their own
+starts.  No frame may start inside a hold, so spans arrive in start order.
 
 Readers follow one tie rule: a reader at time t sees the air as it stood
 just before t, so a frame counts iff start < t <= end.  That is what a
@@ -173,11 +178,11 @@ class _MergedSpans(deque):
         self.total = 0
 
     def add(self, start, end):
-        """Merge in a span that ends at or after every span held."""
-        while self and self[-1][1] >= start:
+        """Merge in a span that starts at or after every span held."""
+        if self and self[-1][1] >= start:
             s, e = self.pop()
             self.total -= e - s
-            start = min(start, s)
+            start, end = s, max(e, end)
         self.append((start, end))
         self.total += end - start
 
@@ -194,18 +199,16 @@ class SpectrumState:
     Tracks the frames on the air, the planned exchanges that hold channels,
     and subscriber lists so contending nodes hear busy/idle edges on their
     primary channel.  For each (channel, observer) pair, history holds the
-    merged spans of the frames from other BSSs that left the channel within
-    the last window; each frame end merges in at the right and expires at
-    the left, so a read touches only the spans that expire or overlap a
-    frame still on the air or planned.  For the tie rule, ended_by keeps
-    per channel the BSSs whose frames ended at its last busy end.
+    merged spans of the frames from other BSSs, each entered at its start
+    (a held exchange's frames at the hold), so spans arrive in start order.
+    Spans expire at each frame end once they leave the window; a read
+    clips the spans at both edges of the window.
     """
 
     def __init__(self, window=100 * MS):
         self.window = window
         self.active = {c: set() for c in BASIC_CHANNELS}
         self.last_busy_end = {c: 0 for c in BASIC_CHANNELS}
-        self.ended_by = {c: set() for c in BASIC_CHANNELS}
         self.held = {}           # channel -> Exchange that holds it
         self.observers = []
         self.history = {}
@@ -242,41 +245,47 @@ class SpectrumState:
                 for listener in tuple(self._listeners[c]):
                     listener.primary_busy(c, now)
             chan_active.add(tx)
+        if self.observers:
+            self._enter(tx.bss, tx.channels, ((tx.start, tx.end),))
 
     def remove(self, tx, now):
         """Take a frame off the air."""
         for c in tx.channels:
             self.active[c].discard(tx)
-            self._ended(c, tx.bss, ((tx.start, now),), now)
+            self._ended(c, now)
 
     def hold(self, exchange):
         """Hold the exchange's channels for its planned frames; call at its
         RTS end, before the RTS leaves the air, so no idle edge goes out."""
         for c in exchange.channels:
             self.held[c] = exchange
+        if self.observers:
+            self._enter(exchange.bss, exchange.channels, exchange.frames)
 
     def release(self, exchange, now):
         """End a held exchange at the end of its last frame."""
         for c in exchange.channels:
             del self.held[c]
-            self._ended(c, exchange.bss, exchange.frames, now)
+            self._ended(c, now)
 
-    def _ended(self, channel, bss, frames, now):
-        """Frames of bss on channel have ended by now: note the end, merge
-        them into the other observers' histories, and tell the listeners if
-        the channel is clear."""
-        if self.last_busy_end[channel] == now:
-            self.ended_by[channel].add(bss)
-        else:
-            self.last_busy_end[channel] = now
-            self.ended_by[channel] = {bss}
-        expired = now - self.window
+    def _enter(self, bss, channels, frames):
+        """Merge the spans of bss's frames on channels into the other
+        observers' histories."""
         for observer in self.observers:
             if observer != bss:
-                spans = self.history[(channel, observer)]
-                for start, end in frames:
-                    spans.add(start, end)
-                spans.expire(expired)
+                for c in channels:
+                    spans = self.history[(c, observer)]
+                    for start, end in frames:
+                        spans.add(start, end)
+
+    def _ended(self, channel, now):
+        """A frame or a held exchange on channel has ended by now: note the
+        end, expire the spans that left the window, and tell the listeners
+        if the channel is clear."""
+        self.last_busy_end[channel] = now
+        expired = now - self.window
+        for observer in self.observers:
+            self.history[(channel, observer)].expire(expired)
         if not self.active[channel] and channel not in self.held:
             for listener in tuple(self._listeners[channel]):
                 listener.primary_idle(channel, now)
@@ -306,27 +315,24 @@ class SpectrumState:
                 return False
         return self.last_busy_end[channel] <= now - PIFS
 
-    # -- feature view (own BSS excluded) --
+    # -- feature view (own BSS excluded), for an observer --
 
     def feature_busy_flags(self, own_bss, now):
         """Per channel, 1 if a frame from another BSS was on the air just
-        before now."""
-        return tuple(1 if self._foreign_busy(c, own_bss, now) else 0
-                     for c in BASIC_CHANNELS)
-
-    def _foreign_busy(self, channel, own_bss, now):
-        exchange = self.held.get(channel)
-        return (any(tx.bss != own_bss and tx.start < now
-                    for tx in self.active[channel])
-                or (self.last_busy_end[channel] == now
-                    and bool(self.ended_by[channel] - {own_bss}))
-                or (exchange is not None and exchange.bss != own_bss
-                    and any(s < now <= e for s, e in exchange.frames)))
+        before now: the last span that starts before now runs to now."""
+        flags = []
+        for c in BASIC_CHANNELS:
+            busy = 0
+            for s, e in reversed(self.history[(c, own_bss)]):
+                if s < now:
+                    busy = int(now <= e)
+                    break
+            flags.append(busy)
+        return tuple(flags)
 
     def occupancy(self, own_bss, now):
         """Fraction of the trailing window each channel was busy with foreign
-        traffic, for an observer registered with observe().  Early in the
-        run the denominator is the elapsed time."""
+        traffic.  Early in the run the denominator is the elapsed time."""
         horizon = max(0, now - self.window)
         denom = now - horizon
         if denom <= 0:
@@ -338,21 +344,10 @@ class SpectrumState:
             busy = spans.total
             if spans and spans[0][0] < horizon:
                 busy -= horizon - spans[0][0]
-            starts = [tx.start for tx in self.active[c] if tx.bss != own_bss]
-            if starts:
-                # frames on the air all run to now: one span [first, now],
-                # less what it shares with the spans that already ended
-                first = max(min(starts), horizon)
-                busy += now - first
-                for s, e in reversed(spans):
-                    if e <= first:
-                        break
-                    busy -= e - max(s, first)
-            exchange = self.held.get(c)
-            if exchange is not None and exchange.bss != own_bss:
-                # planned frames, clipped at now; a held channel carries no
-                # other frame, and the SIFS gaps between them are free
-                for s, e in exchange.frames:
-                    busy += max(0, min(e, now) - max(s, horizon))
+            # the spans entered ahead of their end, clipped at now
+            for s, e in reversed(spans):
+                if e <= now:
+                    break
+                busy -= e - max(s, now)
             out.append(busy / denom)
         return tuple(out)

@@ -12,7 +12,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from . import phy
-from .engine import PLACEMENT_STREAM, SEC, rng_stream
+from .engine import MAX_BSS_ID, PLACEMENT_STREAM, SEC, rng_stream
 
 LEARNING = "learning"
 LEGACY = "legacy"
@@ -52,6 +52,10 @@ class TrafficSpec:
         if self.width_ref_mhz not in (20, 40, 80):
             raise ValueError(f"width_ref_mhz {self.width_ref_mhz!r} is not "
                              f"20, 40 or 80")
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_load(load):
@@ -117,9 +121,21 @@ class ScenarioSpec:
     interval_s: float = None   # 15.0 enables the 4-interval load schedule
 
     def validate(self):
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
+        if not (_is_int(self.trials) and self.trials >= 1):
+            raise ValueError(f"trials must be an int >= 1, got "
+                             f"{self.trials!r}")
         if not self.bss:
-            raise ValueError("scenario needs at least one BSS")
+            raise ValueError("bss must list at least one BSS")
+        ids = set()
         for b in self.bss:
+            if not (_is_int(b.bss_id) and 1 <= b.bss_id <= MAX_BSS_ID):
+                raise ValueError(f"bss_id must be an int from 1 to "
+                                 f"{MAX_BSS_ID}, got {b.bss_id!r}")
+            if b.bss_id in ids:
+                raise ValueError(f"bss_id {b.bss_id} names two BSSs")
+            ids.add(b.bss_id)
             b.validate()
         if self.bonding not in ("scb", "dcb"):
             raise ValueError(f"unknown bonding mode {self.bonding!r}")
@@ -127,9 +143,9 @@ class ScenarioSpec:
         if self.interval_s is not None:
             times["interval_s"] = self.interval_s
         for name, value in times.items():
-            if not (isinstance(value, (int, float)) and value >= 0):
-                raise ValueError(f"{name} must be a number of seconds >= 0, "
-                                 f"got {value!r}")
+            if not (isinstance(value, (int, float)) and 0 <= value < math.inf):
+                raise ValueError(f"{name} must be a finite number of seconds "
+                                 f">= 0, got {value!r}")
         if self.interval_s and len(self.legacy_ids()) < 3:
             # the load schedule underloads three distinct legacy APs
             raise ValueError(f"interval_s needs at least 3 legacy BSSs, "
@@ -196,7 +212,14 @@ class ScenarioSpec:
     def from_dict(cls, d):
         try:
             bss = []
+            if not (isinstance(d["bss"], list)
+                    and all(isinstance(b, dict) for b in d["bss"])):
+                raise ValueError(f"bss must be a list of BSS objects, got "
+                                 f"{d['bss']!r}")
             for b in d["bss"]:
+                if not isinstance(b["traffic"], dict):
+                    raise ValueError(f"BSS {b['bss_id']} traffic must be an "
+                                     f"object, got {b['traffic']!r}")
                 unknown = set(b["traffic"]) - TRAFFIC_KEYS
                 if unknown:
                     raise ValueError(f"BSS {b['bss_id']} has unknown traffic "

@@ -76,8 +76,7 @@ class FullBufferSource(_Source):
 
     def start(self, sim):
         self._sim = sim
-        room = self.bss.queue.capacity - len(self.bss.queue)
-        self.bss.on_arrival(self.bss.make_packets(np.full(room, sim.now())))
+        self.bss.start_cycle()    # whose flush fills the queue
 
     def flush(self):
         self.bss.issued += self.bss.queue.fill(self._sim.now())

@@ -48,6 +48,8 @@ def tune(algo, arch, candidates=100, seed=0, bss_counts=BSS_COUNTS,
 
     Returns leaderboard rows sorted by mean reward, best first.
     """
+    if candidates < 1:
+        raise ValueError(f"candidates must be at least 1, got {candidates}")
     lo, hi = ALPHA_RANGE[algo]
     rng = rng_stream(seed, 0, 1, TUNING_STREAM)
     alphas = [float(rng.uniform(lo, hi)) for _ in range(candidates)]

@@ -400,6 +400,8 @@ def test_feature_flags_at_a_boundary_do_not_depend_on_event_order(at, flag):
     seen = {}
     for reader_first in (True, False):
         sim, spectrum, bss = build_cell(draws=(0,))
+        spectrum.observe(1)
+        spectrum.observe(2)
 
         def read(first=reader_first):
             now = sim.now()

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ListenerRecorder
@@ -182,6 +182,8 @@ def test_partial_width_overlap_corrupts_both():
 
 def test_deferral_counts_own_bss_but_features_do_not():
     s = SpectrumState()
+    s.observe(1)
+    s.observe(7)
     s.add(_tx((3, 4), 0, 100, bss=7), 0)
     assert s.deferral_busy(3) and s.deferral_busy(4)
     assert not s.deferral_busy(1)
@@ -411,6 +413,9 @@ def foreign_spans(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case=foreign_spans())
+# a short frame inside a longer one on its channel, read inside both and
+# after the short one ends
+@example(case=(3, [(2, (1,), 10, 50), (3, (1,), 20, 30)], [], [25, 40]))
 def test_occupancy_matches_a_union_of_the_foreign_spans(case):
     n_bss, frames, exchanges, reads = case
     s = _observed(*range(1, n_bss + 1))

@@ -366,9 +366,19 @@ def test_cli_burn_in_past_the_interval_fails_fast(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("field,value,message", [
-    ("ap_pos", None, "ap_pos"),
-    ("traffic", {"kind": "full_buffer", "rate": 3}, "'rate'"),
-])
+    ("ap_pos", None, "BSS 1 ap_pos"),
+    ("traffic", {"kind": "full_buffer", "rate": 3},
+     "BSS 1 has unknown traffic key 'rate'"),
+    ("traffic", 5, "BSS 1 traffic must be an object"),
+    # BSS 1 takes BSS 2's id, or one outside 1 to MAX_BSS_ID
+    ("bss_id", 2, "bss_id 2 names two BSSs"),
+    ("bss_id", 0, "bss_id must be an int from 1"),
+    ("bss_id", 2 ** 23, "bss_id must be an int from 1"),
+    ("bss_id", "b", "bss_id must be an int from 1"),
+    ("bss_id", True, "bss_id must be an int from 1"),
+], ids=["ap_pos-None-ap_pos", "traffic-value1-'rate'", "traffic-5",
+        "bss_id-taken", "bss_id-0", "bss_id-2**23", "bss_id-str",
+        "bss_id-bool"])
 def test_cli_malformed_bss_fields_are_named(tmp_path, capsys, field, value,
                                              message):
     d = scenarios.build_scenario("sp1", seed=3).to_dict()
@@ -376,7 +386,7 @@ def test_cli_malformed_bss_fields_are_named(tmp_path, capsys, field, value,
     err = _rejected(tmp_path, capsys, "--config", _config(tmp_path, d),
                     "--algo", "none", "--channel", "2", "--trials", "1",
                     "--duration", "0.1")
-    assert message in err and "BSS 1" in err
+    assert message in err
 
 
 def test_cli_bad_traffic_names_its_bss(tmp_path, capsys):
@@ -409,6 +419,16 @@ def test_tuning_leaderboard(tmp_path):
     path = tuning.write_leaderboard(rows, tmp_path / "lb.jsonl")
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [r["rank"] for r in lines] == [1, 2]
+
+
+def test_cli_tune_needs_a_candidate(tmp_path, capsys, monkeypatch):
+    # rejected before the deployment grid is built or anything is written
+    monkeypatch.setattr(tuning, "deployment_grid", None)
+    out = tmp_path / "runs"
+    assert cli.main(["tune", "--algo", "ucb", "--candidates", "0",
+                     "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "candidates must be at least 1" in capsys.readouterr().err
 
 
 def test_duration_past_the_load_schedule_fails_fast(tmp_path, capsys):
@@ -477,13 +497,13 @@ def test_a_reception_counts_from_its_ampdu_end_up_to_the_run_end():
 
 
 def test_a_trial_that_loses_a_packet_raises(monkeypatch):
-    make = mac.Bss.make_packets
+    # every packet of the full-buffer sp1 APs is issued by a top-up
+    fill = mac.TxQueue.fill
 
-    def leaky(self, gen_times):
-        self.issued += 1        # one more packet issued than is queued
-        return make(self, gen_times)
+    def leaky(self, gen):
+        return fill(self, gen) + 1    # one more packet issued than queued
 
-    monkeypatch.setattr(mac.Bss, "make_packets", leaky)
+    monkeypatch.setattr(mac.TxQueue, "fill", leaky)
     with pytest.raises(AssertionError,
                        match=r"^BSS 1 was issued \d+ packets and accounts "
                              r"for \d+$"):

@@ -191,8 +191,9 @@ def test_shipped_config_matches_catalog(name):
 SHIPPED = {name: json.loads((CONFIGS / f"{name}.json").read_text())
            for name in SCENARIO_NAMES}
 TIMES = ("burn_in_s", "interval_s", "duration_s")
-FIELDS = ("ap_pos", "sta_pos", "channels", "primary", "bonding", "kind",
-          "load", "width_ref_mhz", *TIMES)
+RUN_FIELDS = ("bonding", "seed", "trials", "bss", *TIMES)
+FIELDS = ("ap_pos", "sta_pos", "channels", "primary", "kind", "load",
+          "width_ref_mhz", "bss_id", *RUN_FIELDS)
 
 coordinate = st.floats(-20.0, 40.0)
 fraction = st.floats(-0.5, 1.5)
@@ -208,7 +209,13 @@ FIELD_VALUES = {
     "load": st.one_of(st.none(), fraction, st.lists(fraction, max_size=3),
                       st.just("half")),
     "width_ref_mhz": st.sampled_from([20, 40, 80, 160, 0, None]),
-    **{t: st.one_of(st.none(), st.floats(-0.01, 0.03)) for t in TIMES},
+    "bss_id": st.one_of(st.integers(-1, 5),
+                        st.sampled_from(["b", True, 2 ** 22 - 1, 2 ** 22])),
+    "seed": st.one_of(st.integers(-1, 5), st.sampled_from(["x", 1.5, None])),
+    "trials": st.one_of(st.integers(-1, 3), st.sampled_from(["3", 2.5, True])),
+    "bss": st.sampled_from([5, None, [], [5]]),
+    **{t: st.one_of(st.none(), st.floats(-0.01, 0.03),
+                    st.sampled_from([math.inf, math.nan])) for t in TIMES},
 }
 FIELD_VALUES["sta_pos"] = FIELD_VALUES["ap_pos"]
 
@@ -224,7 +231,7 @@ def _shipped(name, burn_in_s):
 def _change(d, field, value, bss=0):
     """(d, field) with field set to value, in the run or in BSS index bss."""
     b = d["bss"][bss]
-    if field in ("bonding", *TIMES):
+    if field in RUN_FIELDS:
         d[field] = value
     elif field in ("kind", "load", "width_ref_mhz"):
         b["traffic"][field] = value
@@ -263,6 +270,16 @@ PARAMS = [RunParams(algo="none", static_channel=7),
 # a load past the link's whole goodput, which would only overflow the queue
 @example(case=_change(_shipped("sp2", 0.0), "load", 1e4, bss=1),
          params=PARAMS[0])
+# malformed run fields, and a time that does not end
+@example(case=_change(_shipped("sp1", 0.0), "seed", "x"), params=PARAMS[0])
+@example(case=_change(_shipped("sp1", 0.0), "seed", 1.5), params=PARAMS[0])
+@example(case=_change(_shipped("sp1", 0.0), "seed", -1), params=PARAMS[0])
+@example(case=_change(_shipped("sp1", 0.0), "trials", 0), params=PARAMS[0])
+@example(case=_change(_shipped("sp1", 0.0), "trials", "3"), params=PARAMS[0])
+@example(case=_change(_shipped("sp1", 0.0), "trials", 2.5), params=PARAMS[0])
+@example(case=_change(_shipped("sp1", 0.0), "bss", 5), params=PARAMS[0])
+@example(case=_change(_shipped("sp1", 0.0), "burn_in_s", math.inf),
+         params=PARAMS[0])
 def test_accepted_dicts_run_and_rejected_ones_name_the_field(case, params):
     d, field = case
     try:
@@ -271,6 +288,7 @@ def test_accepted_dicts_run_and_rejected_ones_name_the_field(case, params):
         # a time is named by its first word: "duration", "burn", "interval"
         assert (field.split("_")[0] if field in TIMES else field) in str(exc)
         return
+    assert type(spec.trials) is int and spec.trials >= 1
     for b in spec.bss:
         assert b.traffic.kind != "full_buffer" or b.traffic.load is None
         assert b.role == "legacy" or b.channels is b.primary is None

@@ -13,8 +13,9 @@ from wlansim.traffic import (BURST_PACKETS, FullBufferSource, PoissonSource,
 
 
 class SinkBss:
-    """Just enough of the AP surface for a source to feed.  It never starts
-    a cycle, so it stays idle and every arrival stays an event."""
+    """Just enough of the AP surface for a source to feed.  Its cycle
+    start only flushes the source, so it stays idle and every arrival stays
+    an event."""
 
     bss_id = 0
     ap_name = "ap0"
@@ -31,6 +32,9 @@ class SinkBss:
     def on_arrival(self, packets):
         self.batches.append(packets)
         self.queue.push(packets)
+
+    def start_cycle(self):
+        self.traffic.flush()
 
     def offered_bytes(self):
         return sum(len(batch) for batch in self.batches) * PACKET_BYTES
@@ -130,17 +134,17 @@ def test_bursty_batches_and_offered_load():
 def test_full_buffer_fills_and_tracks_releases():
     sink = SinkBss()
     sim = Scheduler()
-    src = FullBufferSource(sink)
+    src = sink.traffic = FullBufferSource(sink)
     src.start(sim)
-    assert len(sink.queue) == 500
+    assert (len(sink.queue), sink.issued) == (500, 500)
     # a flush tops the queue back up with packets generated at the flush
     sink.queue.drop_head(500)
     sim.run_until(7)
     src.flush()
-    assert (len(sink.queue), sink.issued) == (500, 500)
+    assert (len(sink.queue), sink.issued) == (500, 1000)
     assert list(sink.queue.snapshot_head()) == [7] * mac.AMPDU_PACKETS
     src.flush()
-    assert sink.issued == 500
+    assert sink.issued == 1000
 
 
 def test_set_rate_replaces_pending_arrival():
