@@ -13,7 +13,7 @@ builds no SensorView at all for UCB.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,13 +39,19 @@ class Action:
     channels: tuple
     primary: int
     cw: int
+    _key: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_key", f"ch{self.label}:p{self.primary}:cw{self.cw}")
 
     @property
     def label(self):
         return GROUP_LABEL[self.channels]
 
     def key(self):
-        return f"ch{self.label}:p{self.primary}:cw{self.cw}"
+        """The decision log's name for this action, built once."""
+        return self._key
 
 
 def enumerate_joint_actions():
@@ -112,11 +118,15 @@ def _argmax(scores, mask=None):
 
 class UcbPolicy:
     """UCB over k arms: mean plus sqrt(alpha ln t / 2N) bonus (Auer et al.
-    2002), scored for every arm in one vector pass.
+    2002), scored for the round's arms in one vector pass.
 
-    An unpulled arm scores +inf, so arms are first pulled once each in index
-    order (restricted to the round's mask); ties break to the lowest index,
-    or the first in mask order.  The context x is ignored.
+    An unpulled arm scores +inf, so while the round's mask holds one, the
+    first such arm in mask order is pulled and nothing is scored: arms are
+    first pulled once each in index order.  Once all are pulled, the bonus
+    is computed as sqrt((alpha ln t / 2) / N).  Halving is exact, so the
+    quotient rounds as alpha ln t / 2N does and every score keeps its bits.
+    Ties break to the lowest index, or the first in mask order.  The context
+    x is ignored.
     """
 
     needs_context = False
@@ -129,13 +139,17 @@ class UcbPolicy:
         self.t = 0
 
     def select(self, x=None, mask=None):
-        log_t = math.log(self.t) if self.t > 1 else 0.0
-        counts = self.counts
-        scores = np.divide(self.alpha * log_t, 2.0 * counts,
-                           out=np.full(self.n_arms, np.inf), where=counts > 0)
-        np.sqrt(scores, out=scores)
-        scores += self.means
-        return _argmax(scores, mask)
+        counts, means = self.counts, self.means
+        if mask is not None:
+            counts, means = counts[mask], means[mask]
+        best = counts.argmin()
+        if counts[best]:    # else best is the first arm that scores +inf
+            log_t = math.log(self.t) if self.t > 1 else 0.0
+            scores = np.divide(0.5 * self.alpha * log_t, counts)
+            np.sqrt(scores, out=scores)
+            scores += means
+            best = scores.argmax()
+        return int(best if mask is None else mask[best])
 
     def update(self, arm, x, reward):
         self.counts[arm] += 1
@@ -178,7 +192,7 @@ class LinUcbPolicy:
         return _argmax(self.scores(x), mask)
 
     def update(self, arm, x, reward):
-        self.A[arm] += np.outer(x, x)
+        self.A[arm] += x[:, None] * x
         self.b[arm] += reward * x
         self._updates[arm] += 1
         if self._updates[arm] % self.REFACTOR_EVERY == 0:
@@ -187,7 +201,7 @@ class LinUcbPolicy:
             # Sherman-Morrison for (A + xx^T)^-1
             Ainv = self.A_inv[arm]
             u = Ainv @ x
-            self.A_inv[arm] = Ainv - np.outer(u, u) / (1.0 + x @ u)
+            self.A_inv[arm] = Ainv - u[:, None] * u / (1.0 + x @ u)
 
 
 def _policy(algo, n_arms, role, alpha):

@@ -83,8 +83,14 @@ def dcb_transmit_set(channels, primary, busy):
     raise AssertionError("primary busy after winning backoff")
 
 
-def scb_defers(channels, primary, busy):
-    return any(c != primary and c in busy for c in channels)
+def scb_defers(channels, primary, pifs_idle, now):
+    """SCB is all-or-nothing: defer iff some secondary was not idle through
+    the PIFS before now.  pifs_idle(c, now) is the probe; the first busy
+    secondary decides, so the rest go unprobed."""
+    for c in channels:
+        if c != primary and not pifs_idle(c, now):
+            return True
+    return False
 
 
 def beb_next_cw(cw, success):
@@ -242,8 +248,8 @@ class Bss:
         if fresh:
             self.remaining = int(self.rng_backoff.integers(0, self.cw))
         self.spectrum.subscribe(self.primary, self)
-        if not self.spectrum.deferral_busy(self.primary):
-            idle0 = self.spectrum.idle_since(self.primary)
+        idle0 = self.spectrum.idle_since(self.primary)
+        if idle0 is not None:
             self._arm_backoff(max(self.sim.now(), idle0 + DIFS))
 
     def _arm_backoff(self, slot_base):
@@ -275,15 +281,16 @@ class Bss:
         self.pending = None
         now = self.sim.now()
         self.spectrum.unsubscribe(self.primary, self)
-        busy = {c for c in self.channels
-                if c != self.primary and not self.spectrum.pifs_idle(c, now)}
         if self.bonding == SCB:
-            if scb_defers(self.channels, self.primary, busy):
-                # all-or-nothing: give up this access, back off again
+            if scb_defers(self.channels, self.primary,
+                          self.spectrum.pifs_idle, now):
+                # give up this access, back off again
                 self._begin_contention(fresh=True)
                 return
             txset = self.channels
         else:
+            busy = {c for c in self.channels if c != self.primary
+                    and not self.spectrum.pifs_idle(c, now)}
             txset = dcb_transmit_set(self.channels, self.primary, busy)
         self.width_set = tuple(txset)
         self.state = TXOP

@@ -100,9 +100,10 @@ class BssSpec:
         elif tuple(self.channels or ()) not in phy.CHANNEL_GROUPS:
             raise ValueError(f"BSS {self.bss_id} channels {self.channels} "
                              f"are not a legal group")
-        elif self.primary not in self.channels:
-            raise ValueError(f"BSS {self.bss_id} primary {self.primary} "
-                             f"outside channels {self.channels}")
+        elif not (_is_int(self.primary) and self.primary in self.channels):
+            raise ValueError(f"BSS {self.bss_id} primary must be one of "
+                             f"channels {self.channels}, got "
+                             f"{self.primary!r}")
         try:
             self.traffic.validate()
         except ValueError as exc:
@@ -210,6 +211,9 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError(f"scenario config must be an object, got "
+                             f"{type(d).__name__}")
         try:
             bss = []
             if not (isinstance(d["bss"], list)
@@ -224,10 +228,16 @@ class ScenarioSpec:
                 if unknown:
                     raise ValueError(f"BSS {b['bss_id']} has unknown traffic "
                                      f"key {sorted(unknown)[0]!r}")
+                if "kind" not in b["traffic"]:
+                    raise ValueError(f"BSS {b['bss_id']} traffic lacks key "
+                                     f"'kind'")
                 t = TrafficSpec(**b["traffic"])
                 load = t.load
                 if isinstance(load, list):
                     t.load = tuple(load)
+                if not isinstance(b["channels"], (list, type(None))):
+                    raise ValueError(f"BSS {b['bss_id']} channels must be a "
+                                     f"list, got {b['channels']!r}")
                 bss.append(BssSpec(
                     bss_id=b["bss_id"], role=b["role"], traffic=t,
                     channels=(None if b["channels"] is None

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wlansim import agents
@@ -235,8 +235,29 @@ def ucb_states(draw):
     return p, mask
 
 
+def _ucb(alpha, counts, means, t):
+    p = UcbPolicy(len(counts), alpha)
+    p.counts[:] = counts
+    p.means[:] = means
+    p.t = t
+    return p
+
+
 @settings(max_examples=300, deadline=None)
 @given(state=ucb_states())
+# the mask's arms are all pulled, arms outside it are not; arm 2's lead in
+# mean beats arm 1's bonus only at the halved alpha ln t / 2N
+@example(state=(_ucb(1.0, [0, 3, 12, 0], [0.9, 0.5, 0.92, 0.2], 20), [2, 1]))
+# alpha 0 with every arm pulled: the mean alone, ties to the lowest index
+@example(state=(_ucb(0.0, [2, 1, 4], [0.3, 0.7, 0.7], 7), None))
+# t = 0 and t = 1 give no bonus; at t = 0 the mask holds three unpulled
+# arms, and the first of them in mask order is pulled
+@example(state=(_ucb(1.09, [0, 2, 0, 0], [0.0, 0.4, 0.0, 0.0], 0),
+                [1, 3, 0, 2]))
+@example(state=(_ucb(1.09, [1, 1, 2], [0.2, 0.6, 0.6], 1), None))
+# one-arm masks, pulled and not
+@example(state=(_ucb(1.14, [5, 0, 3], [0.9, 0.1, 0.2], 8), [2]))
+@example(state=(_ucb(1.14, [5, 0, 3], [0.9, 0.1, 0.2], 8), [1]))
 def test_ucb_select_matches_the_masked_formula(state):
     p, mask = state
     assert p.select(mask=mask) == _masked_select(p, mask)

@@ -91,18 +91,35 @@ def test_dcb_monotone_in_idle_channels():
                         assert wide <= wider
 
 
+def _probe(busy, probed=None):
+    """A PIFS probe that finds the channels in busy not idle; it appends
+    each (channel, now) it is asked about to probed."""
+    def pifs_idle(c, now):
+        if probed is not None:
+            probed.append((c, now))
+        return c not in busy
+    return pifs_idle
+
+
 def test_scb_defer_rule():
-    assert not scb_defers((1, 2, 3, 4), 1, set())
-    assert scb_defers((1, 2, 3, 4), 1, {4})
-    assert scb_defers((3, 4), 3, {4})
+    assert not scb_defers((1, 2, 3, 4), 1, _probe(set()), 0)
+    assert scb_defers((1, 2, 3, 4), 1, _probe({4}), 0)
+    assert scb_defers((3, 4), 3, _probe({4}), 0)
     # a busy primary is not a defer reason here; backoff handles it
-    assert not scb_defers((3, 4), 3, {3})
+    assert not scb_defers((3, 4), 3, _probe({3}), 0)
 
 
 def test_scb_singleton_never_defers():
     for r in range(5):
         for busy in map(set, combinations(BASIC_CHANNELS, r)):
-            assert not scb_defers((2,), 2, busy)
+            assert not scb_defers((2,), 2, _probe(busy), 0)
+
+
+def test_scb_defer_stops_at_the_first_busy_secondary():
+    probed = []
+    assert scb_defers((1, 2, 3, 4), 2, _probe({3, 4}, probed), 7)
+    # never the primary, never past the first busy secondary
+    assert probed == [(1, 7), (3, 7)]
 
 
 def test_beb_doubling_and_reset():

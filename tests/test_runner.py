@@ -34,10 +34,12 @@ def _short(name="sp1", seed=3):
 
 
 def _config(tmp_path, spec):
-    """Write spec (a ScenarioSpec or a dict) as a config; returns its path."""
+    """Write spec (a ScenarioSpec, or any JSON data) as a config; returns
+    its path."""
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(spec if isinstance(spec, dict)
-                              else spec.to_dict()))
+    cfg.write_text(json.dumps(spec.to_dict()
+                              if isinstance(spec, scenarios.ScenarioSpec)
+                              else spec))
     return str(cfg)
 
 
@@ -312,6 +314,28 @@ def test_cli_partial_config_names_the_missing_key(tmp_path, capsys):
     cfg = _config(tmp_path, {"name": "x", "seed": 1, "bss": []})
     assert "'bonding'" in _rejected(tmp_path, capsys, "--config", cfg,
                                     "--algo", "none", "--channel", "2")
+
+
+def _with_bss(d, index, **fields):
+    d["bss"][index].update(fields)
+    return d
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: [d], "scenario config must be an object, got list"),
+    (lambda d: _with_bss(d, 0, traffic={}), "BSS 1 traffic lacks key 'kind'"),
+    (lambda d: _with_bss(d, 1, channels=3),
+     "BSS 2 channels must be a list, got 3"),
+    (lambda d: _with_bss(d, 1, primary="3"),
+     "BSS 2 primary must be one of channels (3, 4), got '3'"),
+], ids=["top-level-list", "traffic-without-kind", "channels-int",
+        "primary-str"])
+def test_cli_malformed_config_shapes_exit_1_naming_the_field(
+        tmp_path, capsys, edit, message):
+    d = edit(json.loads((CONFIGS / "sp1.json").read_text()))
+    assert message in _rejected(tmp_path, capsys, "--config",
+                                _config(tmp_path, d), "--algo", "none",
+                                "--channel", "2")
 
 
 def test_cli_interval_schedule_needs_three_legacy_bss(tmp_path, capsys):

@@ -201,8 +201,8 @@ FIELD_VALUES = {
     "ap_pos": st.one_of(st.lists(coordinate, min_size=3, max_size=3),
                         st.none(), st.just([1.0, 2.0]), st.just("here")),
     "channels": st.one_of(st.none(), st.lists(st.integers(0, 5),
-                                              max_size=4)),
-    "primary": st.one_of(st.none(), st.integers(0, 5)),
+                                              max_size=4), st.just(3)),
+    "primary": st.one_of(st.none(), st.integers(0, 5), st.just("3")),
     "bonding": st.sampled_from(["scb", "dcb", "half", None]),
     "kind": st.sampled_from(["full_buffer", "random", "poisson", "bursty",
                              "vr", "cbr", None]),
@@ -279,6 +279,11 @@ PARAMS = [RunParams(algo="none", static_channel=7),
 @example(case=_change(_shipped("sp1", 0.0), "trials", 2.5), params=PARAMS[0])
 @example(case=_change(_shipped("sp1", 0.0), "bss", 5), params=PARAMS[0])
 @example(case=_change(_shipped("sp1", 0.0), "burn_in_s", math.inf),
+         params=PARAMS[0])
+# a channel set that is not a list, a primary that is not an int
+@example(case=_change(_shipped("sp1", 0.0), "channels", 3, bss=1),
+         params=PARAMS[0])
+@example(case=_change(_shipped("sp1", 0.0), "primary", "3", bss=1),
          params=PARAMS[0])
 def test_accepted_dicts_run_and_rejected_ones_name_the_field(case, params):
     d, field = case
