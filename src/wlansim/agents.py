@@ -3,7 +3,8 @@
 An AP's action is the triple (operational channel, primary, CW).  The
 single-agent architecture learns over the 84 joint arms; the multi-agent one
 runs a channel agent, a primary agent masked to the chosen channel's members,
-and a CW agent in sequence, all paid the same scalar reward.
+and a CW agent in sequence, all paid the same scalar reward.  Either way a
+controller's decision is an arm: the action's index in JOINT_ACTIONS.
 
 Architecture and policy are independent choices.  Both policies share one
 interface, select(x, mask) / update(arm, x, reward), plus a needs_context
@@ -13,7 +14,7 @@ builds no SensorView at all for UCB.
 """
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,40 +35,26 @@ def compute_reward(duration_ms):
     return min(1.0, max(0.0, r))
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     channels: tuple
     primary: int
     cw: int
-    _key: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_key", f"ch{self.label}:p{self.primary}:cw{self.cw}")
 
     @property
     def label(self):
         return GROUP_LABEL[self.channels]
 
-    def key(self):
-        """The decision log's name for this action, built once."""
-        return self._key
 
+# Every valid (channels, primary, cw) triple, by channel label, then primary,
+# then cw ascending; the order fixes UCB initialization and tie-breaking.
+# JOINT_ARM maps any such tuple to its arm, and ACTION_KEYS names each arm in
+# the decision log.
+JOINT_ACTIONS = tuple(Action(group, p, cw) for group in CHANNEL_GROUPS
+                      for p in group for cw in CW_VALUES)
+JOINT_ARM = {a: i for i, a in enumerate(JOINT_ACTIONS)}
+ACTION_KEYS = tuple(f"ch{a.label}:p{a.primary}:cw{a.cw}"
+                    for a in JOINT_ACTIONS)
 
-def enumerate_joint_actions():
-    """All valid (channel, primary, cw) triples in canonical order.
-
-    Canonical order is channel label ascending, primary ascending, cw
-    ascending; it fixes UCB initialization order and tie-breaking.
-    """
-    out = []
-    for group in CHANNEL_GROUPS:
-        for p in group:
-            for cw in CW_VALUES:
-                out.append(Action(group, p, cw))
-    return out
-
-JOINT_ACTIONS = tuple(enumerate_joint_actions())
 
 def channel_primary_pairs():
     return [(g, p) for g in CHANNEL_GROUPS for p in g]
@@ -241,7 +228,7 @@ class SingleAgentController:
         return arm
 
     def _decide(self, sensors):
-        return JOINT_ACTIONS[self._choose(self.policy, sensors, ROLE_SA)]
+        return self._choose(self.policy, sensors, ROLE_SA)
 
 
 class MultiAgentController(SingleAgentController):
@@ -266,7 +253,7 @@ class MultiAgentController(SingleAgentController):
             channels=group)]
         cw = CW_VALUES[self._choose(self.cw, sensors, ROLE_CW,
                                     channels=group, primary=primary)]
-        return Action(group, primary, cw)
+        return JOINT_ARM[group, primary, cw]
 
 
 def make_controller(arch, algo, alpha):

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import scenarios, tuning
-from .runner import RunParams, load_records, run_batch
+from .runner import RunParams, load_records, run_batch, validate_batch
 
 ENV_OUT = "WLANSIM_OUT"
 
@@ -89,19 +89,19 @@ def _run(args):
                      bonding=args.bonding, static_channel=args.channel,
                      duration_s=args.duration, trials=args.trials,
                      decision_log=args.decision_log)
-    out = Path(args.out)
-    if args.export_config:
-        Path(args.export_config).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.export_config).write_text(
-            json.dumps(spec.to_dict(), sort_keys=True, indent=2) + "\n")
     params = [base]
     if spec.name == "baseline-sweep":
         # the pinned static allocation, or else all seven
         labels = [args.channel] if args.channel else range(1, 8)
         params = [RunParams(**{**vars(base), "algo": "none",
                                "static_channel": label}) for label in labels]
-    dirs = run_batch([(spec, p, out / p.method()) for p in params],
-                     workers=args.workers, trace=args.trace)
+    runs = [(spec, p, Path(args.out) / p.method()) for p in params]
+    validate_batch(runs, args.workers)     # before anything is written
+    if args.export_config:
+        Path(args.export_config).parent.mkdir(parents=True, exist_ok=True)
+        Path(args.export_config).write_text(
+            json.dumps(spec.to_dict(), sort_keys=True, indent=2) + "\n")
+    dirs = run_batch(runs, workers=args.workers, trace=args.trace)
     for p, run_dir in zip(params, dirs):
         print(f"{p.method()}: {run_dir}")
     return 0

@@ -202,7 +202,7 @@ class Bss:
         self.pending = None      # armed backoff-completion event
         self.abort_ev = None
         self.abort_pending = False
-        self._action_key = ""
+        self._arm = None         # the agent's JOINT_ACTIONS index this cycle
         self._airtime_cache = {}
 
     # -- traffic entry points --
@@ -228,12 +228,10 @@ class Bss:
             return
         now = self.sim.now()
         if self.agent is not None:
-            action = self.agent.begin_cycle(
+            self._arm = self.agent.begin_cycle(
                 SensorView(self, now) if self.agent.needs_context else None)
-            self.channels = action.channels
-            self.primary = action.primary
-            self.cw = action.cw
-            self._action_key = action.key()
+            self.channels, self.primary, self.cw = agents.JOINT_ACTIONS[
+                self._arm]
             self.abort_ev = self.sim.schedule(
                 now + D_MAX_NS, engine.ABORT, self.ap_name, self._abort)
         self.cycle_start = now
@@ -391,8 +389,7 @@ class Bss:
         if self.agent is not None:
             reward = agents.compute_reward((now - self.cycle_start) / MS)
             self.agent.complete_cycle(reward)
-            self.metrics.decisions.append(
-                (self.cycle_start, self._action_key, reward))
+            self.metrics.record_decision(self.cycle_start, self._arm, reward)
         self.snapshot = None
         self.state = IDLE
         self.start_cycle()

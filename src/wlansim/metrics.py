@@ -6,17 +6,25 @@ time-weighted so dense sample bursts do not dominate.  Raw per-packet data
 lives in compact arrays, a 60 s saturated run delivers on the order of a
 million packets per BSS.  A reception appends all its packets' delays in one
 call; a packet's delivery time is its reception's, so the per-packet times
-are rebuilt from the receptions when a window needs them.
+are rebuilt from the receptions when a window needs them.  Decisions are
+arms, indices into agents.JOINT_ACTIONS, named only in the records.
 """
 
 from array import array
 
 import numpy as np
 
+from .agents import ACTION_KEYS, JOINT_ACTIONS
 from .engine import MS
 from .mac import PACKET_BYTES
 
 PACKET_BITS = PACKET_BYTES * 8
+
+# arms in action-key order, the order shares are summed in (it fixes their
+# bits), and each arm's channel and (channel, cw) name
+KEY_ORDER = sorted(range(len(ACTION_KEYS)), key=ACTION_KEYS.__getitem__)
+ARM_CHANNEL = tuple(f"ch{a.label}" for a in JOINT_ACTIONS)
+ARM_PAIR = tuple(f"ch{a.label}:cw{a.cw}" for a in JOINT_ACTIONS)
 
 
 class BssMetrics:
@@ -30,7 +38,14 @@ class BssMetrics:
         self.acked_bytes = 0
         self.retry_drops = 0
         self.cycles = 0
-        self.decisions = []            # (cycle start ns, action key, reward)
+        self.decision_t = array("q")        # cycle start ns of each decision
+        self.decision_arm = array("B")      # its arm
+        self.decision_reward = array("d")   # the reward the cycle paid
+
+    def record_decision(self, t, arm, reward):
+        self.decision_t.append(t)
+        self.decision_arm.append(arm)
+        self.decision_reward.append(reward)
 
     def record_data_reception(self, now, delays):
         """One data-frame reception and the delays, in ns, of the packets it
@@ -111,33 +126,28 @@ def interval_windows(duration_ns, interval_ns, burn_in_ns):
     return out
 
 
-def selection_frequencies(decisions, w0, w1):
-    """Normalized action histogram over decisions whose cycle started in-window."""
-    counts = {}
-    total = 0
-    for t, key, _r in decisions:
-        if w0 <= t < w1:
-            counts[key] = counts.get(key, 0) + 1
-            total += 1
-    if total == 0:
-        return {}
-    return {k: v / total for k, v in sorted(counts.items())}
+def selection_frequencies(decision_t, decision_arm, w0, w1):
+    """Share of each arm among the decisions whose cycle started in [w0, w1),
+    as {arm: fraction} in action-key order."""
+    t = np.asarray(decision_t, dtype=np.int64)
+    sel = np.asarray(decision_arm)[(t >= w0) & (t < w1)]
+    counts = np.bincount(sel, minlength=len(ACTION_KEYS)).tolist()
+    return {a: counts[a] / len(sel) for a in KEY_ORDER if counts[a]}
+
+
+def _collapse(freqs, names):
+    """Sum per-arm fractions by name, in freqs' (action-key) order."""
+    out = {}
+    for arm, frac in freqs.items():
+        out[names[arm]] = out.get(names[arm], 0.0) + frac
+    return out
 
 
 def channel_frequencies(freqs):
-    """Collapse action-key fractions (chL:pP:cwW) onto the channel label."""
-    out = {}
-    for key, frac in freqs.items():
-        label = key.split(":")[0]
-        out[label] = out.get(label, 0.0) + frac
-    return out
+    """Collapse per-arm fractions onto the channel label (chL)."""
+    return _collapse(freqs, ARM_CHANNEL)
 
 
 def pair_frequencies(freqs):
     """Collapse onto (channel label, cw) pairs; exposes selection coupling."""
-    out = {}
-    for key, frac in freqs.items():
-        ch, _p, cw = key.split(":")
-        pair = f"{ch}:{cw}"
-        out[pair] = out.get(pair, 0.0) + frac
-    return out
+    return _collapse(freqs, ARM_PAIR)

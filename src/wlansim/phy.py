@@ -292,9 +292,6 @@ class SpectrumState:
 
     # -- deferral view (own BSS counts) --
 
-    def deferral_busy(self, channel):
-        return bool(self.active[channel]) or channel in self.held
-
     def idle_since(self, channel):
         """Start of the current idle stretch, or None while busy or held."""
         if self.active[channel] or channel in self.held:

@@ -211,7 +211,8 @@ def _trial_records(spec, params, trial, bonding, duration, burn_in, bss_objs,
                "overflow_drops": bss_objs[b.bss_id].queue.overflow_drops,
                "cycles": m.cycles}
         if freqs is not None:
-            rec["selections"] = freqs
+            rec["selections"] = {agents.ACTION_KEYS[a]: f
+                                 for a, f in freqs.items()}
             rec["pair_selections"] = metrics.pair_frequencies(freqs)
         records.append(rec)
 
@@ -238,23 +239,25 @@ def _trial_records(spec, params, trial, bonding, duration, burn_in, bss_objs,
     if params.decision_log:
         for b in spec.bss:
             m = bss_objs[b.bss_id].metrics
-            if m.decisions:
+            if m.decision_arm:
                 records.append({
                     "record": "decisions", "trial": trial, "bss": b.bss_id,
-                    "rows": [[t, key, r] for t, key, r in m.decisions]})
+                    "rows": [[t, agents.ACTION_KEYS[a], r] for t, a, r in zip(
+                        m.decision_t, m.decision_arm, m.decision_reward)]})
     return records
 
 
 def _window_fields(m, w0, w1):
     """Goodput, delay and, for a learning AP, channel shares over [w0, w1],
-    plus the per-action shares behind them (None without decisions)."""
+    plus the per-arm shares behind them (None without decisions)."""
     fields = {"goodput_mbps": metrics.time_weighted_goodput(
                   m.sample_t, m.sample_bits, w0, w1),
               "delay_ms": metrics.delay_stats_ms(m.delay_ns, m.ack_times(),
                                                w0, w1)}
     freqs = None
-    if m.decisions:
-        freqs = metrics.selection_frequencies(m.decisions, w0, w1)
+    if m.decision_arm:
+        freqs = metrics.selection_frequencies(m.decision_t, m.decision_arm,
+                                              w0, w1)
         fields["channel_selections"] = metrics.channel_frequencies(freqs)
     return fields, freqs
 
@@ -273,18 +276,23 @@ def _worker(job):
             run_trial(spec, RunParams(**params_dict), trial, fh))
 
 
-def run_batch(runs, workers=1, trace=False):
-    """Run every trial of every (spec, params, out_dir) in runs, validated
-    first, and write each run.json, trial_NNN.jsonl (trace_NNN.log) and
-    summary.jsonl; returns the run directories.  All trials, longest run
-    first, share one pool of workers processes (this process at one
-    worker); their bytes depend on neither."""
+def validate_batch(runs, workers):
+    """Raise ValueError unless run_batch can run every run with workers."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
     for spec, params, _ in runs:
         params.validate()
         spec.validate()
         spec.duration_ns(params.duration_s)
+
+
+def run_batch(runs, workers=1, trace=False):
+    """Run every trial of every (spec, params, out_dir) in runs, validated
+    first, and write each run.json, trial_NNN.jsonl (trace_NNN.log) and
+    summary.jsonl; returns the run directories.  All trials, longest run
+    first, share one pool of workers processes (this process at one
+    worker); their bytes depend on neither."""
+    validate_batch(runs, workers)
     outs, jobs = [Path(out_dir) for _, _, out_dir in runs], []
     for i, (spec, params, _) in enumerate(runs):
         head = {"scenario": spec.to_dict(), "params": asdict(params),

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 
 from wlansim import mac, metrics, traffic
+from wlansim.agents import JOINT_ARM
 from wlansim.engine import Scheduler
 from wlansim.phy import SpectrumState, Transmission
 
@@ -48,12 +49,13 @@ class StubRng:
 
 
 class AgentStub:
-    """Plays one fixed action every cycle and logs the rewards it is paid."""
+    """Plays one fixed action's arm every cycle and logs the rewards it is
+    paid."""
 
     needs_context = True
 
     def __init__(self, action):
-        self.action = action
+        self.arm = JOINT_ARM[action]
         self.begun = 0
         self.rewards = []
         self.sensor_log = []
@@ -61,7 +63,7 @@ class AgentStub:
     def begin_cycle(self, sensors):
         self.begun += 1
         self.sensor_log.append(sensors)
-        return self.action
+        return self.arm
 
     def complete_cycle(self, reward):
         self.rewards.append(reward)

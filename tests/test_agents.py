@@ -8,13 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wlansim import agents
-from wlansim.agents import (Action, CW_VALUES, JOINT_ACTIONS, LinUcbPolicy,
-                            MultiAgentController, ROLE_CHANNEL, ROLE_CW,
-                            ROLE_PRIMARY, ROLE_SA, SingleAgentController,
-                            UcbPolicy, build_context, channel_primary_pairs,
-                            compute_reward, enumerate_joint_actions,
+from wlansim.agents import (ACTION_KEYS, Action, CW_VALUES, JOINT_ACTIONS,
+                            JOINT_ARM, LinUcbPolicy, MultiAgentController,
+                            ROLE_CHANNEL, ROLE_CW, ROLE_PRIMARY, ROLE_SA,
+                            SingleAgentController, UcbPolicy, build_context,
+                            channel_primary_pairs, compute_reward,
                             make_controller)
-from wlansim.phy import CHANNEL_GROUPS
+from wlansim.phy import BASIC_CHANNELS, CHANNEL_GROUPS
 
 
 class Sensors:
@@ -79,12 +79,19 @@ def test_canonical_ordering():
         assert [a.cw for a in block] == list(CW_VALUES)
     assert JOINT_ACTIONS[0] == Action((1,), 1, 16)
     assert JOINT_ACTIONS[7] == Action((2,), 2, 16)
-    assert enumerate_joint_actions() == list(JOINT_ACTIONS)
+
+
+def test_joint_arm_round_trips_every_action():
+    assert len(JOINT_ARM) == 84
+    for arm, a in enumerate(JOINT_ACTIONS):
+        assert JOINT_ARM[a] == arm
+        assert JOINT_ARM[a.channels, a.primary, a.cw] == arm   # plain tuple
 
 
 def test_action_key_format():
-    assert Action((1, 2), 1, 32).key() == "ch5:p1:cw32"
-    assert Action((1, 2, 3, 4), 3, 1024).key() == "ch7:p3:cw1024"
+    assert ACTION_KEYS[JOINT_ARM[(1, 2), 1, 32]] == "ch5:p1:cw32"
+    assert ACTION_KEYS[JOINT_ARM[(1, 2, 3, 4), 3, 1024]] == "ch7:p3:cw1024"
+    assert len(set(ACTION_KEYS)) == len(JOINT_ACTIONS)
 
 
 # -- context vectors --
@@ -385,7 +392,7 @@ def test_sa_ucb_walks_joint_arms_canonically():
     for _ in range(84):
         seen.append(c.begin_cycle(Sensors()))
         c.complete_cycle(0.5)
-    assert seen == list(JOINT_ACTIONS)
+    assert [JOINT_ACTIONS[arm] for arm in seen] == list(JOINT_ACTIONS)
 
 
 def test_controller_protocol_violations():
@@ -401,21 +408,27 @@ def test_controller_protocol_violations():
         m.complete_cycle(0.5)
 
 
+def _ma_action(c, sensors):
+    """Begin an MA cycle, check that its arm indexes the (group, primary,
+    cw) its three agents chose, and return that action."""
+    arm = c.begin_cycle(sensors)
+    (_, ch, _), (_, pri, _), (_, cw, _) = c._pending
+    assert JOINT_ACTIONS[arm] == (CHANNEL_GROUPS[ch], BASIC_CHANNELS[pri],
+                                  CW_VALUES[cw])
+    return JOINT_ACTIONS[arm]
+
+
 def test_ma_ucb_round_one_couples_first_arms():
     # all three sub-agents start at their lowest canonical arm
     c = MultiAgentController("ucb", 1.14)
-    first = c.begin_cycle(Sensors())
-    assert first == Action((1,), 1, 16)
+    assert _ma_action(c, Sensors()) == Action((1,), 1, 16)
     c.complete_cycle(0.5)
     # the lockstep continues while every agent is still initializing
-    second = c.begin_cycle(Sensors())
-    assert second == Action((2,), 2, 32)
+    assert _ma_action(c, Sensors()) == Action((2,), 2, 32)
     c.complete_cycle(0.5)
-    third = c.begin_cycle(Sensors())
-    assert third == Action((3,), 3, 64)
+    assert _ma_action(c, Sensors()) == Action((3,), 3, 64)
     c.complete_cycle(0.5)
-    fourth = c.begin_cycle(Sensors())
-    assert fourth == Action((4,), 4, 128)
+    assert _ma_action(c, Sensors()) == Action((4,), 4, 128)
     c.complete_cycle(0.5)
 
 
@@ -437,7 +450,7 @@ def test_identical_reward_streams_keep_ucb_twins_in_lockstep():
 def test_ma_primary_masked_to_channel_members():
     c = MultiAgentController("ucb", 1.0)
     for _ in range(40):
-        action = c.begin_cycle(Sensors())
+        action = _ma_action(c, Sensors())
         assert action.primary in action.channels
         c.complete_cycle(0.1)
 
@@ -447,7 +460,7 @@ def test_ma_linucb_emits_valid_actions_under_fuzz():
     c = MultiAgentController("linucb", 0.5)
     for _ in range(300):
         s = Sensors(rng.random(4), rng.integers(0, 2, 4), float(rng.random()))
-        action = c.begin_cycle(s)
+        action = _ma_action(c, s)
         assert action.channels in CHANNEL_GROUPS
         assert action.primary in action.channels
         assert action.cw in CW_VALUES

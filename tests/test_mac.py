@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from conftest import (AgentStub, ListenerRecorder, StubRng, build_cell,
                       foreign_frame, offer_packets)
 from wlansim import mac, scenarios
-from wlansim.agents import Action, compute_reward, make_controller
+from wlansim.agents import (ACTION_KEYS, Action, compute_reward,
+                            make_controller)
 from wlansim.engine import MS, US
 from wlansim.mac import (ABORTED, CTS_TIMEOUT, CW_MAX, CW_MIN,
                          DCB, PACKET_BYTES, FAILURE, SCB, SUCCESS,
@@ -256,8 +257,10 @@ def test_learning_action_drives_the_cycle():
     assert bss.width_set == (3, 4)
     assert agent.begun == 1
     assert agent.rewards == [pytest.approx(compute_reward(end / MS))]
-    assert bss.metrics.decisions == [
-        (0, "ch6:p4:cw64", pytest.approx(0.91428))]
+    m = bss.metrics
+    assert list(m.decision_t) == [0]
+    assert [ACTION_KEYS[a] for a in m.decision_arm] == ["ch6:p4:cw64"]
+    assert list(m.decision_reward) == [pytest.approx(0.91428)]
     assert bss.cw == 64
 
 
@@ -369,7 +372,7 @@ def test_contention_begun_in_a_sifs_gap_waits_for_the_ba_end():
     offer_packets(bss1, 1)
     sim.schedule(90_000, "timer", "test", offer_packets, bss2, 1, 90_000)
     sim.run_until(90_000)
-    assert spectrum.deferral_busy(1) and spectrum.idle_since(1) is None
+    assert 1 in spectrum.held and spectrum.idle_since(1) is None
     assert bss2.pending is None
     ba_end = 34_000 + EXCHANGE_20
     sim.run_until(ba_end)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wlansim.agents import ACTION_KEYS
 from wlansim.engine import MS, SEC
 from wlansim.metrics import (BssMetrics, channel_frequencies, delay_stats_ms,
                              interval_windows, jain_fairness, pair_frequencies,
@@ -97,24 +98,49 @@ def test_interval_windows_trim_burn_in_only_first():
         (30 * SEC, 45 * SEC), (45 * SEC, 50 * SEC)]
 
 
+def _decisions(*rows):
+    """A BssMetrics that logged one decision per (cycle start, action key)."""
+    m = BssMetrics(1)
+    for t, key in rows:
+        m.record_decision(t, ACTION_KEYS.index(key), 0.5)
+    return m
+
+
+def _shares(m, w0, w1):
+    return selection_frequencies(m.decision_t, m.decision_arm, w0, w1)
+
+
 def test_selection_frequencies_window_and_normalization():
-    decisions = [(0, "ch2:p2:cw32", 0.9), (SEC, "ch2:p2:cw32", 0.8),
-                 (2 * SEC, "ch7:p1:cw16", 0.1), (3 * SEC, "ch1:p1:cw16", 0.5)]
-    freqs = selection_frequencies(decisions, 0, 3 * SEC)
-    assert freqs == {"ch2:p2:cw32": pytest.approx(2 / 3),
-                     "ch7:p1:cw16": pytest.approx(1 / 3)}
-    assert list(freqs) == sorted(freqs)
-    assert selection_frequencies(decisions, 10 * SEC, 20 * SEC) == {}
+    m = _decisions((0, "ch2:p2:cw32"), (SEC, "ch2:p2:cw32"),
+                   (2 * SEC, "ch7:p1:cw16"), (3 * SEC, "ch1:p1:cw16"))
+    freqs = _shares(m, 0, 3 * SEC)
+    keys = [ACTION_KEYS[a] for a in freqs]
+    assert dict(zip(keys, freqs.values())) == {
+        "ch2:p2:cw32": pytest.approx(2 / 3),
+        "ch7:p1:cw16": pytest.approx(1 / 3)}
+    assert keys == sorted(keys)
+    assert _shares(m, 10 * SEC, 20 * SEC) == {}
 
 
 def test_frequency_collapses():
-    freqs = {"ch2:p1:cw32": 0.4, "ch2:p2:cw32": 0.3, "ch2:p2:cw64": 0.1,
-             "ch7:p1:cw16": 0.2}
+    freqs = {ACTION_KEYS.index(k): v for k, v in {
+        "ch5:p1:cw32": 0.4, "ch5:p2:cw32": 0.3, "ch5:p2:cw64": 0.1,
+        "ch7:p1:cw16": 0.2}.items()}
     assert channel_frequencies(freqs) == {
-        "ch2": pytest.approx(0.8), "ch7": pytest.approx(0.2)}
+        "ch5": pytest.approx(0.8), "ch7": pytest.approx(0.2)}
     assert pair_frequencies(freqs) == {
-        "ch2:cw32": pytest.approx(0.7), "ch2:cw64": pytest.approx(0.1),
+        "ch5:cw32": pytest.approx(0.7), "ch5:cw64": pytest.approx(0.1),
         "ch7:cw16": pytest.approx(0.2)}
+    # a share is the sum of its arms' fractions, not count / total: three
+    # arms picked once each in five decisions read 0.2 + 0.2 + 0.2
+    m = _decisions((0, "ch1:p1:cw16"), (1, "ch2:p2:cw16"),
+                   (2, "ch2:p2:cw32"), (3, "ch2:p2:cw64"), (4, "ch3:p3:cw16"))
+    assert channel_frequencies(_shares(m, 0, 5))["ch2"] == (
+        0.2 + 0.2 + 0.2) == 0.6000000000000001
+    m = _decisions((0, "ch1:p1:cw16"), (1, "ch2:p2:cw16"),
+                   (2, "ch7:p1:cw16"), (3, "ch7:p2:cw16"), (4, "ch7:p3:cw16"))
+    assert pair_frequencies(_shares(m, 0, 5))["ch7:cw16"] == (
+        0.2 + 0.2 + 0.2) == 0.6000000000000001
 
 
 def test_bss_metrics_counters():

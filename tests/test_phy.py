@@ -185,8 +185,8 @@ def test_deferral_counts_own_bss_but_features_do_not():
     s.observe(1)
     s.observe(7)
     s.add(_tx((3, 4), 0, 100, bss=7), 0)
-    assert s.deferral_busy(3) and s.deferral_busy(4)
-    assert not s.deferral_busy(1)
+    assert s.idle_since(3) is None and s.idle_since(4) is None
+    assert s.idle_since(1) is not None
     assert s.feature_busy_flags(own_bss=1, now=50) == (0, 0, 1, 1)
     assert s.feature_busy_flags(own_bss=7, now=50) == (0, 0, 0, 0)
 

@@ -310,6 +310,16 @@ def test_cli_rejects_bad_run_flags_before_run_json(tmp_path, capsys, flags,
         "--arch", "sa", "--duration", "0.1", *flags)
 
 
+@pytest.mark.parametrize("flags", [["--algo", "none"],
+                                   ["--algo", "ucb", "--workers", "0"]],
+                         ids=["no-channel", "workers-0"])
+def test_cli_export_config_waits_for_validation(tmp_path, capsys, flags):
+    exported = tmp_path / "cfg" / "spec.json"
+    _rejected(tmp_path, capsys, "--scenario", "sp1", "--export-config",
+              str(exported), *flags)
+    assert not exported.parent.exists()
+
+
 def test_cli_partial_config_names_the_missing_key(tmp_path, capsys):
     cfg = _config(tmp_path, {"name": "x", "seed": 1, "bss": []})
     assert "'bonding'" in _rejected(tmp_path, capsys, "--config", cfg,
