@@ -122,8 +122,11 @@ def rng_stream(seed, trial, node, purpose):
     """Independent PCG64 generator keyed by (seed, trial, node, purpose).
 
     Same key gives bit-identical draws; any differing component gives a
-    statistically independent stream.
+    statistically independent stream.  Every seed enters here, so this is
+    where a negative one is refused.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial, node, purpose))
     return np.random.Generator(np.random.PCG64(ss))
 

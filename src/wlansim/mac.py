@@ -5,16 +5,16 @@ One transmission cycle, which is also one learning round, runs:
     DIFS + backoff -> PIFS gate on secondaries (SCB defer / DCB shrink)
     -> RTS .. SIFS .. CTS .. SIFS .. A-MPDU .. SIFS .. BlockACK
 
-Once the RTS gets through, its BSS holds the channels until the BlockACK
-ends (see phy), as the NAV would, so nothing corrupts the CTS, A-MPDU or
+Once the RTS gets through, it stays on the air until the BlockACK ends
+(see phy), as the NAV would, so nothing corrupts the CTS, A-MPDU or
 BlockACK.  Their times are fixed then, so the clean RTS end plans all
-three, hands the plan to phy as the hold, and does the STA's part too: it
-draws the per-MPDU errors and records the reception, stamped at the
-planned A-MPDU end.  One event remains, the BlockACK end, which releases
-the hold and acks the MPDUs out of the queue; a successful cycle is three
-events (backoff, RTS end, BlockACK end).  The runner drops a reception
-stamped after the end of the run.  A collided RTS sets the one response
-timeout, the CTS timeout.
+three, hands the plan to phy with the RTS, and does the STA's part too:
+it draws the per-MPDU errors and records the reception, stamped at the
+planned A-MPDU end.  One event remains, the BlockACK end, which takes the
+exchange off the air and acks the MPDUs out of the queue; a successful
+cycle is three events (backoff, RTS end, BlockACK end).  The runner drops
+a reception stamped after the end of the run.  A collided RTS sets the one
+response timeout, the CTS timeout.
 A failed attempt re-enters contention carrying the same A-MPDU snapshot,
 up to the retry limit; the MPDUs a BlockACK acks leave the queue.
 Learning APs additionally force-terminate a cycle that has not finished
@@ -33,14 +33,14 @@ import numpy as np
 from . import agents, engine
 from .engine import MS
 from .phy import (BA_AIRTIME, CHANNEL_GROUPS, CTS_AIRTIME, DIFS,
-                  MAX_AMPDU_BYTES, RTS_AIRTIME, SIFS, SLOT, Exchange,
-                  Transmission, frame_airtime)
+                  MAX_AMPDU_BYTES, RTS_AIRTIME, SIFS, SLOT, Transmission,
+                  frame_airtime)
 
 CW_MIN = 16
 CW_MAX = 1024
 RETRY_LIMIT = 7
 QUEUE_CAPACITY = 500
-D_MAX_NS = 10 * MS
+D_MAX_NS = round(agents.D_MAX_MS * MS)
 
 # every MPDU carries one fixed-size packet; an A-MPDU holds up to 43 of them
 PACKET_BYTES = 1500
@@ -240,11 +240,10 @@ class Bss:
         self.snapshot = self.queue.snapshot_head()
         self.metrics.cycles += 1
         self.state = CONTEND
-        self._begin_contention(fresh=True)
+        self._begin_contention()
 
-    def _begin_contention(self, fresh):
-        if fresh:
-            self.remaining = int(self.rng_backoff.integers(0, self.cw))
+    def _begin_contention(self):
+        self.remaining = int(self.rng_backoff.integers(0, self.cw))
         self.spectrum.subscribe(self.primary, self)
         idle0 = self.spectrum.idle_since(self.primary)
         if idle0 is not None:
@@ -283,7 +282,7 @@ class Bss:
             if scb_defers(self.channels, self.primary,
                           self.spectrum.pifs_idle, now):
                 # give up this access, back off again
-                self._begin_contention(fresh=True)
+                self._begin_contention()
                 return
             txset = self.channels
         else:
@@ -306,26 +305,22 @@ class Bss:
             self.sim.schedule(now + CTS_TIMEOUT, engine.ACK_TIMEOUT,
                               self.ap_name, self._attempt_failed)
             return
-        # plan the CTS, A-MPDU and BlockACK, SIFS apart, and hold the
-        # channels for them
+        # plan the CTS, A-MPDU and BlockACK, SIFS apart; the RTS stays on
+        # the air through them
         cts = now + SIFS
         data = cts + CTS_AIRTIME + SIFS
         data_end = data + self._data_airtime(len(self.snapshot))
         ba = data_end + SIFS
-        exchange = Exchange(self.bss_id, self.width_set, (
-            (cts, cts + CTS_AIRTIME), (data, data_end),
-            (ba, ba + BA_AIRTIME)))
-        self.spectrum.hold(exchange)
-        self.spectrum.remove(tx, now)
+        self.spectrum.hold(tx, ((cts, cts + CTS_AIRTIME), (data, data_end),
+                                (ba, ba + BA_AIRTIME)))
         # STA side: per-MPDU error draws and the delays of the packets they
         # deliver, received at the A-MPDU end; the BA carries the ack mask
         # (None: no MPDU got through)
         acked = self.rng_per.random(len(self.snapshot)) >= self.per
         delays = data_end - self.snapshot[acked]
         self.metrics.record_data_reception(data_end, delays)
-        self.sim.schedule(ba + BA_AIRTIME, engine.FRAME_END, self.sta_name,
-                          self._ba_end, exchange,
-                          acked if len(delays) else None)
+        self.sim.schedule(tx.end, engine.FRAME_END, self.sta_name,
+                          self._ba_end, tx, acked if len(delays) else None)
 
     def _data_airtime(self, n_packets):
         width = 20 * len(self.width_set)
@@ -337,8 +332,8 @@ class Bss:
             self._airtime_cache[key] = air
         return air
 
-    def _ba_end(self, exchange, acked):
-        self.spectrum.release(exchange, self.sim.now())
+    def _ba_end(self, tx, acked):
+        self.spectrum.remove(tx, self.sim.now())
         if acked is not None:
             self._finish_cycle(SUCCESS, acked)
         else:
@@ -356,7 +351,7 @@ class Bss:
             self._finish_cycle(ABORTED)
         else:
             self.state = CONTEND
-            self._begin_contention(fresh=True)
+            self._begin_contention()
 
     def _abort(self):
         self.abort_ev = None

@@ -5,19 +5,20 @@ SpectrumState that every DCF state machine senses and transmits through.
 Two busy views exist on purpose: deferral sensing counts everything on the
 air, while the learning features F1/F2 exclude the observer's own BSS.
 
-Deferral sensing also honours a hold.  Like the NAV (network allocation
-vector) that real stations set from the RTS duration field, a won RTS
-holds its channels busy until its BlockACK ends, across each SIFS gap.
-Every node hears every frame, so no other BSS may start a frame inside
-the exchange; add() raises if one does.  The CTS, A-MPDU and BlockACK of
-a held exchange never go on the air as frames: the hold carries their
-planned times.
+A won RTS stays on the air until its BlockACK ends.  Like the NAV
+(network allocation vector) that real stations set from the RTS duration
+field, it keeps its channels busy across each SIFS gap, so deferral
+sensing needs no second kind of occupant.  Every node hears every frame,
+so no other BSS may start a frame inside the exchange; add() raises if
+one does.  The CTS, A-MPDU and BlockACK never go on the air as frames of
+their own: the won RTS carries their planned times.
 
 Both learning features, F1 and F2, are kept only for a BSS registered
 with observe(), from one history of foreign air.  Each frame enters it
 once, when its span is fixed: an RTS at its start, and the CTS, A-MPDU
-and BlockACK of an exchange when the hold starts, ahead of their own
-starts.  No frame may start inside a hold, so spans arrive in start order.
+and BlockACK of an exchange when the RTS is won, ahead of their own
+starts.  No frame may start inside an exchange, so spans arrive in start
+order.
 
 Readers follow one tie rule: a reader at time t sees the air as it stood
 just before t, so a frame counts iff start < t <= end.  That is what a
@@ -141,9 +142,13 @@ BA_AIRTIME = control_airtime(32)    # 68 us
 
 
 class Transmission:
-    """One frame on the air, spanning a set of basic channels."""
+    """One frame on the air, spanning a set of basic channels.
 
-    __slots__ = ("bss", "channels", "start", "end", "corrupted")
+    frames is None until the frame, an RTS, is won; then it holds the
+    (start, end) of the planned CTS, A-MPDU and BlockACK, and end is the
+    BlockACK end."""
+
+    __slots__ = ("bss", "channels", "start", "end", "corrupted", "frames")
 
     def __init__(self, bss, channels, start, end):
         self.bss = bss
@@ -151,20 +156,7 @@ class Transmission:
         self.start = start
         self.end = end
         self.corrupted = False
-
-
-class Exchange:
-    """The rest of a won RTS/CTS exchange, planned at its clean RTS end.
-
-    frames holds the (start, end) of its CTS, A-MPDU and BlockACK, SIFS
-    apart.  Its BSS holds channels from the RTS end to the last end."""
-
-    __slots__ = ("bss", "channels", "frames")
-
-    def __init__(self, bss, channels, frames):
-        self.bss = bss
-        self.channels = channels
-        self.frames = frames
+        self.frames = None
 
 
 class _MergedSpans(deque):
@@ -196,20 +188,19 @@ class _MergedSpans(deque):
 class SpectrumState:
     """Shared view of the four basic channels.
 
-    Tracks the frames on the air, the planned exchanges that hold channels,
-    and subscriber lists so contending nodes hear busy/idle edges on their
-    primary channel.  For each (channel, observer) pair, history holds the
-    merged spans of the frames from other BSSs, each entered at its start
-    (a held exchange's frames at the hold), so spans arrive in start order.
-    Spans expire at each frame end once they leave the window; a read
-    clips the spans at both edges of the window.
+    Tracks the frames on the air, won exchanges included, and subscriber
+    lists so contending nodes hear busy/idle edges on their primary
+    channel.  For each (channel, observer) pair, history holds the merged
+    spans of the frames from other BSSs, each entered at its start (the
+    planned frames of an exchange when its RTS is won), so spans arrive in
+    start order.  Spans expire at each frame end once they leave the
+    window; a read clips the spans at both edges of the window.
     """
 
     def __init__(self, window=100 * MS):
         self.window = window
         self.active = {c: set() for c in BASIC_CHANNELS}
         self.last_busy_end = {c: 0 for c in BASIC_CHANNELS}
-        self.held = {}           # channel -> Exchange that holds it
         self.observers = []
         self.history = {}
         self._listeners = {c: [] for c in BASIC_CHANNELS}
@@ -229,16 +220,17 @@ class SpectrumState:
     def add(self, tx, now):
         """Put a frame on the air; overlapping frames corrupt each other.
 
-        No frame may start on a held channel: every node hears the
-        exchange, so one that does is a fault, and add() raises."""
+        No frame may start inside a won exchange: every node hears it, so
+        one that does is a fault, and add() raises."""
         for c in tx.channels:
-            if c in self.held:
-                raise AssertionError(
-                    f"BSS {tx.bss} started a frame at {now} ns on channel "
-                    f"{c}, held by the exchange of BSS {self.held[c].bss}")
             chan_active = self.active[c]
             if chan_active:
                 for other in chan_active:
+                    if other.frames is not None:
+                        raise AssertionError(
+                            f"BSS {tx.bss} started a frame at {now} ns on "
+                            f"channel {c}, held by the exchange of BSS "
+                            f"{other.bss}")
                     other.corrupted = True
                 tx.corrupted = True
             else:
@@ -249,24 +241,18 @@ class SpectrumState:
             self._enter(tx.bss, tx.channels, ((tx.start, tx.end),))
 
     def remove(self, tx, now):
-        """Take a frame off the air."""
+        """Take a frame, or a won exchange, off the air."""
         for c in tx.channels:
             self.active[c].discard(tx)
             self._ended(c, now)
 
-    def hold(self, exchange):
-        """Hold the exchange's channels for its planned frames; call at its
-        RTS end, before the RTS leaves the air, so no idle edge goes out."""
-        for c in exchange.channels:
-            self.held[c] = exchange
+    def hold(self, tx, frames):
+        """Keep the won RTS tx on the air through its planned frames, the
+        (start, end) of its CTS, A-MPDU and BlockACK; call at its end."""
+        tx.frames = frames
+        tx.end = frames[-1][1]
         if self.observers:
-            self._enter(exchange.bss, exchange.channels, exchange.frames)
-
-    def release(self, exchange, now):
-        """End a held exchange at the end of its last frame."""
-        for c in exchange.channels:
-            del self.held[c]
-            self._ended(c, now)
+            self._enter(tx.bss, tx.channels, frames)
 
     def _enter(self, bss, channels, frames):
         """Merge the spans of bss's frames on channels into the other
@@ -279,22 +265,22 @@ class SpectrumState:
                         spans.add(start, end)
 
     def _ended(self, channel, now):
-        """A frame or a held exchange on channel has ended by now: note the
-        end, expire the spans that left the window, and tell the listeners
-        if the channel is clear."""
+        """A frame on channel has ended by now: note the end, expire the
+        spans that left the window, and tell the listeners if the channel
+        is clear."""
         self.last_busy_end[channel] = now
         expired = now - self.window
         for observer in self.observers:
             self.history[(channel, observer)].expire(expired)
-        if not self.active[channel] and channel not in self.held:
+        if not self.active[channel]:
             for listener in tuple(self._listeners[channel]):
                 listener.primary_idle(channel, now)
 
     # -- deferral view (own BSS counts) --
 
     def idle_since(self, channel):
-        """Start of the current idle stretch, or None while busy or held."""
-        if self.active[channel] or channel in self.held:
+        """Start of the current idle stretch, or None while busy."""
+        if self.active[channel]:
             return None
         return self.last_busy_end[channel]
 
@@ -305,8 +291,6 @@ class SpectrumState:
         is what lets two same-slot winners collide instead of one politely
         shrinking width.
         """
-        if channel in self.held:
-            return False
         for tx in self.active[channel]:
             if tx.start < now:
                 return False

@@ -58,21 +58,30 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _is_load(load):
     """A fraction from MIN_LOAD to MAX_LOAD, or a (lo, hi) range of them."""
     bounds = load if isinstance(load, tuple) and len(load) == 2 else (load,)
-    return (all(isinstance(x, (int, float)) and MIN_LOAD <= x <= MAX_LOAD
+    return (all(_is_number(x) and MIN_LOAD <= x <= MAX_LOAD
                 for x in bounds)
             and bounds[0] <= bounds[-1])
 
 
-TRAFFIC_KEYS = {f.name for f in fields(TrafficSpec)}
+def _reject_unknown(d, spec_cls, message):
+    """Raise message with the first key of d, in sorted order, that names
+    no field of spec_cls."""
+    unknown = sorted(set(d) - {f.name for f in fields(spec_cls)})
+    if unknown:
+        raise ValueError(f"{message} {unknown[0]!r}")
 
 
 def _position(b, key):
     pos = b[key]
     if (not isinstance(pos, (list, tuple)) or len(pos) != len(AREA)
-            or not all(isinstance(c, (int, float)) for c in pos)):
+            or not all(map(_is_number, pos))):
         raise ValueError(f"BSS {b['bss_id']} {key} must be a list of "
                          f"{len(AREA)} coordinates, got {pos!r}")
     return tuple(pos)
@@ -144,7 +153,7 @@ class ScenarioSpec:
         if self.interval_s is not None:
             times["interval_s"] = self.interval_s
         for name, value in times.items():
-            if not (isinstance(value, (int, float)) and 0 <= value < math.inf):
+            if not (_is_number(value) and 0 <= value < math.inf):
                 raise ValueError(f"{name} must be a finite number of seconds "
                                  f">= 0, got {value!r}")
         if self.interval_s and len(self.legacy_ids()) < 3:
@@ -214,6 +223,7 @@ class ScenarioSpec:
         if not isinstance(d, dict):
             raise ValueError(f"scenario config must be an object, got "
                              f"{type(d).__name__}")
+        _reject_unknown(d, cls, "scenario config has unknown key")
         try:
             bss = []
             if not (isinstance(d["bss"], list)
@@ -221,13 +231,13 @@ class ScenarioSpec:
                 raise ValueError(f"bss must be a list of BSS objects, got "
                                  f"{d['bss']!r}")
             for b in d["bss"]:
+                _reject_unknown(b, BssSpec,
+                                f"BSS {b['bss_id']} has unknown key")
                 if not isinstance(b["traffic"], dict):
                     raise ValueError(f"BSS {b['bss_id']} traffic must be an "
                                      f"object, got {b['traffic']!r}")
-                unknown = set(b["traffic"]) - TRAFFIC_KEYS
-                if unknown:
-                    raise ValueError(f"BSS {b['bss_id']} has unknown traffic "
-                                     f"key {sorted(unknown)[0]!r}")
+                _reject_unknown(b["traffic"], TrafficSpec,
+                                f"BSS {b['bss_id']} has unknown traffic key")
                 if "kind" not in b["traffic"]:
                     raise ValueError(f"BSS {b['bss_id']} traffic lacks key "
                                      f"'kind'")

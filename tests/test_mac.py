@@ -372,7 +372,9 @@ def test_contention_begun_in_a_sifs_gap_waits_for_the_ba_end():
     offer_packets(bss1, 1)
     sim.schedule(90_000, "timer", "test", offer_packets, bss2, 1, 90_000)
     sim.run_until(90_000)
-    assert 1 in spectrum.held and spectrum.idle_since(1) is None
+    [rts] = spectrum.active[1]
+    assert rts.bss == 1 and rts.frames is not None
+    assert spectrum.idle_since(1) is None
     assert bss2.pending is None
     ba_end = 34_000 + EXCHANGE_20
     sim.run_until(ba_end)
@@ -393,7 +395,7 @@ def test_collided_rts_releases_the_channel_at_its_end():
     offer_packets(bss2, 1)
     sim.run_until(90_000)
     assert rec.events == [("busy", 1, 34_000), ("idle", 1, 86_000)]
-    assert not spectrum.held and spectrum.idle_since(1) == 86_000
+    assert not spectrum.active[1] and spectrum.idle_since(1) == 86_000
 
 
 # AP 1 wins slot 0: RTS 34-86 us, CTS 102-146 us, data 162-260.4 us and
@@ -407,7 +409,8 @@ def test_foreign_frame_inside_a_won_exchange_raises(start):
     with pytest.raises(AssertionError,
                        match=r"^BSS 99 .* held by the exchange of BSS 1$"):
         sim.run_until(1 * MS)
-    assert {c: ex.bss for c, ex in spectrum.held.items()} == {1: 1}
+    assert [(tx.bss, tx.frames is not None) for c in BASIC_CHANNELS
+            for tx in spectrum.active[c]] == [(1, True)]
 
 
 # AP 1 wins slot 0: its RTS starts at 34 us and ends at 86 us, and its BA
@@ -427,7 +430,7 @@ def test_feature_flags_at_a_boundary_do_not_depend_on_event_order(at, flag):
             now = sim.now()
             seen[first] = (spectrum.feature_busy_flags(2, now),
                            spectrum.feature_busy_flags(1, now),
-                           (len(spectrum.active[1]), 1 in spectrum.held,
+                           ([tx.end for tx in spectrum.active[1]],
                             spectrum.last_busy_end[1]))
 
         if reader_first:
@@ -465,13 +468,12 @@ def _listens_on_its_primary_exactly_while_it_contends(bss, line):
     assert listening == expect, (line, bss.bss_id, bss.state)
 
 
-def _has_one_own_frame_or_exchange_at_most(bss, line):
+def _has_one_own_occupant_at_most(bss, line):
     spectrum = bss.spectrum
     frames = {tx for c in BASIC_CHANNELS for tx in spectrum.active[c]
               if tx.bss == bss.bss_id}
-    holds = {ex for ex in spectrum.held.values() if ex.bss == bss.bss_id}
-    assert len(frames) + len(holds) <= 1, (line, bss.bss_id, frames, holds)
-    if frames or holds:
+    assert len(frames) <= 1, (line, bss.bss_id, frames)
+    if frames:
         assert bss.state == mac.TXOP, (line, bss.bss_id, bss.state)
 
 
@@ -521,9 +523,8 @@ def test_a_bss_listens_on_its_primary_exactly_while_it_contends(
 @settings(max_examples=12, deadline=None)
 @random_deployments
 def test_no_bss_has_two_own_frames_on_the_air(seed, n_legacy, method):
-    # nor a frame on the air while its exchange holds a channel
-    _run_checked(seed, n_legacy, method,
-                 _has_one_own_frame_or_exchange_at_most)
+    # a won exchange is its RTS, on the air until the BlockACK ends
+    _run_checked(seed, n_legacy, method, _has_one_own_occupant_at_most)
 
 
 def test_retry_exhaustion_drops_the_frame():

@@ -429,14 +429,8 @@ def test_occupancy_matches_a_union_of_the_foreign_spans(case):
                 in zip(txs, frames) if t1 is not None])
     for b, c, (t0, t1), planned in exchanges:
         rts = _tx(c, t0, t1, bss=b)
-        exchange = phy.Exchange(b, c, planned)
-
-        def rts_end(rts=rts, exchange=exchange, t1=t1):
-            s.hold(exchange)
-            s.remove(rts, t1)
-
-        edges += [(t0, 1, s.add, (rts, t0)), (t1, 0, rts_end, ()),
-                  (planned[-1][1], 0, s.release, (exchange, planned[-1][1]))]
+        edges += [(t0, 1, s.add, (rts, t0)), (t1, 0, s.hold, (rts, planned)),
+                  (planned[-1][1], 0, s.remove, (rts, planned[-1][1]))]
     edges.sort(key=lambda e: e[:2])
     # every frame as (bss, channels, start, end), planned or on the air
     spans = [(b, c, t0, 1 << 60 if t1 is None else t1)

@@ -287,6 +287,16 @@ def test_cli_error_codes(tmp_path, capsys):
                   "--channel", "2")
     _rejected(tmp_path, capsys, "--scenario", "sp1", "--algo", "none",
               "--trials", "1")    # no channel label
+    # a negative seed is named where it enters, by both commands
+    message = "seed must be an int >= 0, got -1"
+    assert message in _rejected(tmp_path, capsys, "--scenario", "sp1",
+                                "--seed", "-1", "--algo", "none",
+                                "--channel", "2")
+    out = tmp_path / "tune"
+    assert cli.main(["tune", "--algo", "ucb", "--seed", "-1",
+                     "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -338,8 +348,12 @@ def _with_bss(d, index, **fields):
      "BSS 2 channels must be a list, got 3"),
     (lambda d: _with_bss(d, 1, primary="3"),
      "BSS 2 primary must be one of channels (3, 4), got '3'"),
+    (lambda d: {**d, "bondng": "dcb"},
+     "scenario config has unknown key 'bondng'"),
+    (lambda d: _with_bss(d, 1, chanels=[3, 4]),
+     "BSS 2 has unknown key 'chanels'"),
 ], ids=["top-level-list", "traffic-without-kind", "channels-int",
-        "primary-str"])
+        "primary-str", "unknown-top-level-key", "unknown-bss-key"])
 def test_cli_malformed_config_shapes_exit_1_naming_the_field(
         tmp_path, capsys, edit, message):
     d = edit(json.loads((CONFIGS / "sp1.json").read_text()))

@@ -207,7 +207,7 @@ FIELD_VALUES = {
     "kind": st.sampled_from(["full_buffer", "random", "poisson", "bursty",
                              "vr", "cbr", None]),
     "load": st.one_of(st.none(), fraction, st.lists(fraction, max_size=3),
-                      st.just("half")),
+                      st.sampled_from(["half", True])),
     "width_ref_mhz": st.sampled_from([20, 40, 80, 160, 0, None]),
     "bss_id": st.one_of(st.integers(-1, 5),
                         st.sampled_from(["b", True, 2 ** 22 - 1, 2 ** 22])),
@@ -215,7 +215,8 @@ FIELD_VALUES = {
     "trials": st.one_of(st.integers(-1, 3), st.sampled_from(["3", 2.5, True])),
     "bss": st.sampled_from([5, None, [], [5]]),
     **{t: st.one_of(st.none(), st.floats(-0.01, 0.03),
-                    st.sampled_from([math.inf, math.nan])) for t in TIMES},
+                    st.sampled_from([math.inf, math.nan, True]))
+        for t in TIMES},
 }
 FIELD_VALUES["sta_pos"] = FIELD_VALUES["ap_pos"]
 
@@ -285,6 +286,14 @@ PARAMS = [RunParams(algo="none", static_channel=7),
          params=PARAMS[0])
 @example(case=_change(_shipped("sp1", 0.0), "primary", "3", bss=1),
          params=PARAMS[0])
+# a bool where a number belongs, each otherwise valid: JSON true is not 1
+@example(case=_change(_shipped("sp2", 0.0), "load", True, bss=1),
+         params=PARAMS[0])
+@example(case=_change(_shipped("sp1", 1.0), "burn_in_s", True),
+         params=PARAMS[0])
+@example(case=_change(_shipped("sp1", 0.0), "ap_pos",
+                      [True, *SHIPPED["sp1"]["bss"][0]["ap_pos"][1:]]),
+         params=PARAMS[0])
 def test_accepted_dicts_run_and_rejected_ones_name_the_field(case, params):
     d, field = case
     try:
@@ -294,7 +303,12 @@ def test_accepted_dicts_run_and_rejected_ones_name_the_field(case, params):
         assert (field.split("_")[0] if field in TIMES else field) in str(exc)
         return
     assert type(spec.trials) is int and spec.trials >= 1
+    numbers = [spec.duration_s, spec.burn_in_s, spec.interval_s]
     for b in spec.bss:
         assert b.traffic.kind != "full_buffer" or b.traffic.load is None
         assert b.role == "legacy" or b.channels is b.primary is None
+        load = b.traffic.load
+        numbers += [*b.ap_pos, *b.sta_pos,
+                    *(load if isinstance(load, tuple) else (load,))]
+    assert not any(isinstance(x, bool) for x in numbers)
     run_trial(spec, params, trial=0)
