@@ -1,7 +1,9 @@
 """Deterministic discrete-event kernel.
 
 Simulation time is an integer nanosecond count, so identical runs produce
-identical clocks with no float drift.  Events fire in time order.  At one
+identical clocks with no float drift.  An event is its heap entry, a list
+[fire_at, key, fn, args, kind, node] that is also its cancel handle.
+Events fire in time order.  At one
 nanosecond, ARRIVAL events run before every other event, in bss_id order;
 the rest follow in insertion order.  This stated rule keeps traces
 reproducible, and it lets a traffic source keep a busy AP's arrivals off
@@ -38,22 +40,16 @@ _BSS_SHIFT = 40
 MAX_BSS_ID = (-_ARRIVAL_KEY >> _BSS_SHIFT) - 1
 
 
-class Event:
-    """One scheduled callback.  The object doubles as its own cancel handle."""
-
-    __slots__ = ("fire_at", "kind", "node", "fn", "args", "cancelled")
-
-    def __init__(self, fire_at, kind, node, fn, args):
-        self.fire_at = fire_at
-        self.kind = kind
-        self.node = node
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
+# slots of a heap entry
+FIRE_AT, FN, ARGS = 0, 2, 3
 
 
 class Scheduler:
-    """Min-heap event queue over integer-nanosecond time."""
+    """Min-heap event queue over integer-nanosecond time.
+
+    key is the insertion count, offset for an ARRIVAL, so (fire_at, key) is
+    unique and heap comparisons never reach fn.  cancel() sets fn to None,
+    and run_until skips such an entry."""
 
     def __init__(self, trace=None):
         self._now = 0
@@ -65,45 +61,46 @@ class Scheduler:
         return self._now
 
     def schedule(self, fire_at, kind, node, fn, *args, bss_id=0):
-        """Queue fn(*args) to run at fire_at.  Returns the Event as a handle.
+        """Queue fn(*args) to run at fire_at.  Returns the entry as a handle.
 
         bss_id ranks an ARRIVAL among the arrivals at its nanosecond."""
         if fire_at < self._now:
             raise RuntimeError(
                 f"scheduling into the past: {fire_at} < now {self._now}")
-        ev = Event(int(fire_at), kind, node, fn, args)
         key = self._seq
         self._seq = key + 1
         if kind == ARRIVAL:
             key += _ARRIVAL_KEY + (bss_id << _BSS_SHIFT)
-        heapq.heappush(self._heap, (ev.fire_at, key, ev))
-        return ev
+        entry = [int(fire_at), key, fn, args, kind, node]
+        heapq.heappush(self._heap, entry)
+        return entry
 
-    def cancel(self, ev):
-        # lazy removal: the heap entry stays and is skipped on pop
-        ev.cancelled = True
+    def cancel(self, entry):
+        # lazy removal: the entry stays on the heap and is skipped on pop
+        entry[FN] = None
 
     def clear(self):
         """Drop every queued event and its callback.  A callback is mostly
         a bound method, so this breaks the cycles its object closes through
-        the events it holds and through this scheduler."""
-        for _, _, ev in self._heap:
-            ev.fn = ev.args = None
+        the entries it holds and through this scheduler."""
+        for entry in self._heap:
+            entry[FN] = entry[ARGS] = None
         self._heap.clear()
 
     def run_until(self, end):
         """Execute events with fire_at <= end; returns the executed count."""
         heap = self._heap
+        pop = heapq.heappop
         trace = self._trace
         executed = 0
         while heap and heap[0][0] <= end:
-            fire_at, _, ev = heapq.heappop(heap)
-            if ev.cancelled:
+            fire_at, _, fn, args, kind, node = pop(heap)
+            if fn is None:
                 continue
             self._now = fire_at
             if trace is not None:
-                trace(fire_at, ev.kind, ev.node)
-            ev.fn(*ev.args)
+                trace(fire_at, kind, node)
+            fn(*args)
             executed += 1
         if self._now < end:
             self._now = end
@@ -182,3 +179,8 @@ class BlockRng:
         out = self._doubles[self._d:self._d + n]
         self._d += n
         return out
+
+    def rewind(self, n):
+        """Give back the last random(n): the next random(n) returns the
+        same doubles again."""
+        self._d -= n

@@ -5,16 +5,18 @@ One transmission cycle, which is also one learning round, runs:
     DIFS + backoff -> PIFS gate on secondaries (SCB defer / DCB shrink)
     -> RTS .. SIFS .. CTS .. SIFS .. A-MPDU .. SIFS .. BlockACK
 
-Once the RTS gets through, it stays on the air until the BlockACK ends
-(see phy), as the NAV would, so nothing corrupts the CTS, A-MPDU or
-BlockACK.  Their times are fixed then, so the clean RTS end plans all
-three, hands the plan to phy with the RTS, and does the STA's part too:
-it draws the per-MPDU errors and records the reception, stamped at the
-planned A-MPDU end.  One event remains, the BlockACK end, which takes the
-exchange off the air and acks the MPDUs out of the queue; a successful
-cycle is three events (backoff, RTS end, BlockACK end).  The runner drops
-a reception stamped after the end of the run.  A collided RTS sets the one
-response timeout, the CTS timeout.
+Every node senses an RTS from the nanosecond after it starts, and a won
+RTS stays on the air until the BlockACK ends (see phy), as the NAV would,
+so nothing corrupts the CTS, A-MPDU or BlockACK.  So the backoff that
+sends a clean RTS plans all three at once, hands the plan to phy with the
+RTS, and does the STA's part too: it draws the per-MPDU errors and records
+the reception, stamped at the planned A-MPDU end.  One event remains, the
+BlockACK end, which takes the exchange off the air and acks the MPDUs out
+of the queue; a successful cycle is two events (backoff, BlockACK end).
+The runner drops a reception stamped after the end of the run.  An RTS
+that starts at the same nanosecond collides with a planned one, whose BSS
+undoes its plan (unplan).  A collided RTS ends in an event of its own and
+sets the one response timeout, the CTS timeout.
 A failed attempt re-enters contention carrying the same A-MPDU snapshot,
 up to the retry limit; the MPDUs a BlockACK acks leave the queue.
 Learning APs additionally force-terminate a cycle that has not finished
@@ -200,6 +202,7 @@ class Bss:
         self.remaining = 0
         self.slot_base = 0
         self.pending = None      # armed backoff-completion event
+        self.ba_end_ev = None    # the planned BlockACK end
         self.abort_ev = None
         self.abort_pending = False
         self._arm = None         # the agent's JOINT_ACTIONS index this cycle
@@ -259,7 +262,7 @@ class Bss:
 
     def primary_busy(self, channel, t):
         if self.pending is not None:
-            if self.pending.fire_at > t:
+            if self.pending[engine.FIRE_AT] > t:
                 if t > self.slot_base:
                     consumed = min((t - self.slot_base) // SLOT, self.remaining)
                     self.remaining -= consumed
@@ -293,34 +296,50 @@ class Bss:
         self.state = TXOP
         tx = Transmission(self.bss_id, self.width_set, now, now + RTS_AIRTIME)
         self.spectrum.add(tx, now)
-        self.sim.schedule(tx.end, engine.FRAME_END, self.ap_name,
-                          self._rts_end, tx)
+        if tx.corrupted:
+            self.sim.schedule(tx.end, engine.FRAME_END, self.ap_name,
+                              self._rts_end, tx)
+        else:
+            self._plan(tx)
 
     # -- RTS / CTS / DATA / BA ladder --
 
-    def _rts_end(self, tx):
-        now = self.sim.now()
-        if tx.corrupted:
-            self.spectrum.remove(tx, now)
-            self.sim.schedule(now + CTS_TIMEOUT, engine.ACK_TIMEOUT,
-                              self.ap_name, self._attempt_failed)
-            return
-        # plan the CTS, A-MPDU and BlockACK, SIFS apart; the RTS stays on
-        # the air through them
-        cts = now + SIFS
+    def _plan(self, tx):
+        # plan the CTS, A-MPDU and BlockACK, SIFS apart from the clean RTS
+        # and each other; the RTS stays on the air through them
+        cts = tx.end + SIFS
         data = cts + CTS_AIRTIME + SIFS
         data_end = data + self._data_airtime(len(self.snapshot))
         ba = data_end + SIFS
         self.spectrum.hold(tx, ((cts, cts + CTS_AIRTIME), (data, data_end),
-                                (ba, ba + BA_AIRTIME)))
+                                (ba, ba + BA_AIRTIME)), self)
         # STA side: per-MPDU error draws and the delays of the packets they
         # deliver, received at the A-MPDU end; the BA carries the ack mask
         # (None: no MPDU got through)
         acked = self.rng_per.random(len(self.snapshot)) >= self.per
         delays = data_end - self.snapshot[acked]
         self.metrics.record_data_reception(data_end, delays)
-        self.sim.schedule(tx.end, engine.FRAME_END, self.sta_name,
-                          self._ba_end, tx, acked if len(delays) else None)
+        self.ba_end_ev = self.sim.schedule(
+            tx.end, engine.FRAME_END, self.sta_name, self._ba_end, tx,
+            acked if len(delays) else None)
+
+    def unplan(self, tx):
+        """Undo _plan: an RTS started with tx, at the same nanosecond, so tx
+        collides after all.  Called by the spectrum."""
+        self.sim.cancel(self.ba_end_ev)
+        self.ba_end_ev = None
+        self.rng_per.rewind(len(self.snapshot))
+        self.metrics.drop_last_reception()
+        self.spectrum.unhold(tx)
+        self.sim.schedule(tx.end, engine.FRAME_END, self.ap_name,
+                          self._rts_end, tx)
+
+    def _rts_end(self, tx):
+        # a collided RTS: free the air, wait out the CTS timeout
+        now = self.sim.now()
+        self.spectrum.remove(tx, now)
+        self.sim.schedule(now + CTS_TIMEOUT, engine.ACK_TIMEOUT,
+                          self.ap_name, self._attempt_failed)
 
     def _data_airtime(self, n_packets):
         width = 20 * len(self.width_set)
@@ -333,6 +352,7 @@ class Bss:
         return air
 
     def _ba_end(self, tx, acked):
+        self.ba_end_ev = None
         self.spectrum.remove(tx, self.sim.now())
         if acked is not None:
             self._finish_cycle(SUCCESS, acked)

@@ -57,14 +57,18 @@ class BssMetrics:
         self.acked_bytes += len(delays) * PACKET_BYTES
         self.delay_ns.frombytes(delays.tobytes())
 
+    def drop_last_reception(self):
+        """Forget the latest reception, with its packets."""
+        self.sample_t.pop()
+        n = self.sample_bits.pop() // PACKET_BITS
+        self.acked_bytes -= n * PACKET_BYTES
+        if n:
+            del self.delay_ns[-n:]
+
     def drop_receptions_after(self, t):
         """Forget the receptions stamped after t, with their packets."""
         while self.sample_t and self.sample_t[-1] > t:
-            self.sample_t.pop()
-            n = self.sample_bits.pop() // PACKET_BITS
-            self.acked_bytes -= n * PACKET_BYTES
-            if n:
-                del self.delay_ns[-n:]
+            self.drop_last_reception()
 
     def ack_times(self):
         """Delivery time of each packet in delay_ns."""
@@ -73,10 +77,10 @@ class BssMetrics:
 
 
 def time_weighted_goodput(sample_t, sample_bits, w0, w1):
-    """Time-weighted mean goodput over [w0, w1], in Mbps.
+    """Time-weighted mean goodput over (w0, w1], in Mbps.
 
-    Each sample's instantaneous rate holds over its inter-sample gap, clipped
-    to the window; uncovered time counts as zero.
+    Each sample's instantaneous rate holds over its inter-sample gap
+    (prev, t], clipped to the window; uncovered time counts as zero.
     """
     if w1 <= w0 or len(sample_t) == 0:
         return 0.0
@@ -104,10 +108,11 @@ def jain_fairness(values):
 
 
 def delay_stats_ms(delay_ns, ack_t, w0, w1):
-    """Mean and 25/50/75th percentile delay for packets delivered in-window."""
+    """Mean and 25/50/75th percentile delay for the packets delivered in
+    (w0, w1], the rule goodput follows, so adjacent windows share none."""
     d = np.asarray(delay_ns, dtype=np.float64)
     t = np.asarray(ack_t, dtype=np.float64)
-    sel = d[(t >= w0) & (t <= w1)] / MS
+    sel = d[(t > w0) & (t <= w1)] / MS
     if sel.size == 0:
         return {"mean": None, "p25": None, "p50": None, "p75": None, "count": 0}
     p25, p50, p75 = np.percentile(sel, [25, 50, 75])

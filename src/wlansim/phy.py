@@ -8,17 +8,21 @@ air, while the learning features F1/F2 exclude the observer's own BSS.
 A won RTS stays on the air until its BlockACK ends.  Like the NAV
 (network allocation vector) that real stations set from the RTS duration
 field, it keeps its channels busy across each SIFS gap, so deferral
-sensing needs no second kind of occupant.  Every node hears every frame,
-so no other BSS may start a frame inside the exchange; add() raises if
-one does.  The CTS, A-MPDU and BlockACK never go on the air as frames of
-their own: the won RTS carries their planned times.
+sensing needs no second kind of occupant.  The CTS, A-MPDU and BlockACK
+never go on the air as frames of their own: the won RTS carries their
+planned times, from its start if it was clean then (see mac).  Every node
+hears every frame from the nanosecond after it starts, so another RTS may
+start only at that same nanosecond; then both collide, and add() has the
+exchange's planner undo the plan.  A frame from another BSS that starts
+later inside the exchange is a fault, and add() raises.
 
 Both learning features, F1 and F2, are kept only for a BSS registered
 with observe(), from one history of foreign air.  Each frame enters it
 once, when its span is fixed: an RTS at its start, and the CTS, A-MPDU
-and BlockACK of an exchange when the RTS is won, ahead of their own
-starts.  No frame may start inside an exchange, so spans arrive in start
-order.
+and BlockACK of an exchange at the start of its clean RTS, ahead of their
+own starts.  No frame may start inside an exchange, so spans arrive in
+start order; an undone plan takes its spans, the last ones entered, out
+again.
 
 Readers follow one tie rule: a reader at time t sees the air as it stood
 just before t, so a frame counts iff start < t <= end.  That is what a
@@ -28,6 +32,7 @@ other events at t.
 """
 
 import math
+import weakref
 from collections import deque
 
 from .engine import US, MS
@@ -145,10 +150,11 @@ class Transmission:
     """One frame on the air, spanning a set of basic channels.
 
     frames is None until the frame, an RTS, is won; then it holds the
-    (start, end) of the planned CTS, A-MPDU and BlockACK, and end is the
-    BlockACK end."""
+    (start, end) of the planned CTS, A-MPDU and BlockACK, end is the
+    BlockACK end, and planner is a weak reference to what planned them."""
 
-    __slots__ = ("bss", "channels", "start", "end", "corrupted", "frames")
+    __slots__ = ("bss", "channels", "start", "end", "corrupted", "frames",
+                 "planner")
 
     def __init__(self, bss, channels, start, end):
         self.bss = bss
@@ -157,6 +163,7 @@ class Transmission:
         self.end = end
         self.corrupted = False
         self.frames = None
+        self.planner = None
 
 
 class _MergedSpans(deque):
@@ -178,6 +185,12 @@ class _MergedSpans(deque):
         self.append((start, end))
         self.total += end - start
 
+    def drop_last(self, n):
+        """Take back the last n spans added, none of which merged."""
+        for _ in range(n):
+            s, e = self.pop()
+            self.total -= e - s
+
     def expire(self, horizon):
         """Drop the spans that ended at or before horizon."""
         while self and self[0][1] <= horizon:
@@ -192,9 +205,9 @@ class SpectrumState:
     lists so contending nodes hear busy/idle edges on their primary
     channel.  For each (channel, observer) pair, history holds the merged
     spans of the frames from other BSSs, each entered at its start (the
-    planned frames of an exchange when its RTS is won), so spans arrive in
-    start order.  Spans expire at each frame end once they leave the
-    window; a read clips the spans at both edges of the window.
+    planned frames of an exchange at the start of its clean RTS), so spans
+    arrive in start order.  Spans expire at each frame end once they leave
+    the window; a read clips the spans at both edges of the window.
     """
 
     def __init__(self, window=100 * MS):
@@ -220,17 +233,20 @@ class SpectrumState:
     def add(self, tx, now):
         """Put a frame on the air; overlapping frames corrupt each other.
 
-        No frame may start inside a won exchange: every node hears it, so
-        one that does is a fault, and add() raises."""
+        An exchange planned at this same nanosecond has its plan undone
+        first.  A frame that starts later inside a won exchange is a fault,
+        since every node hears the RTS, and add() raises."""
         for c in tx.channels:
             chan_active = self.active[c]
             if chan_active:
                 for other in chan_active:
                     if other.frames is not None:
-                        raise AssertionError(
-                            f"BSS {tx.bss} started a frame at {now} ns on "
-                            f"channel {c}, held by the exchange of BSS "
-                            f"{other.bss}")
+                        if other.start != now:
+                            raise AssertionError(
+                                f"BSS {tx.bss} started a frame at {now} ns "
+                                f"on channel {c}, held by the exchange of "
+                                f"BSS {other.bss}")
+                        other.planner().unplan(other)
                     other.corrupted = True
                 tx.corrupted = True
             else:
@@ -246,13 +262,26 @@ class SpectrumState:
             self.active[c].discard(tx)
             self._ended(c, now)
 
-    def hold(self, tx, frames):
-        """Keep the won RTS tx on the air through its planned frames, the
-        (start, end) of its CTS, A-MPDU and BlockACK; call at its end."""
+    def hold(self, tx, frames, planner):
+        """Keep the clean RTS tx on the air through its planned frames, the
+        (start, end) of its CTS, A-MPDU and BlockACK; call at its start.
+        add() calls planner.unplan(tx) if an RTS starts with it; the
+        reference is weak, since the planner holds this spectrum."""
         tx.frames = frames
         tx.end = frames[-1][1]
+        tx.planner = weakref.ref(planner)
         if self.observers:
             self._enter(tx.bss, tx.channels, frames)
+
+    def unhold(self, tx):
+        """Undo hold(): tx is a bare RTS again.  Its planned spans are the
+        last in each history: no frame has started on its channels since."""
+        for observer in self.observers:
+            if observer != tx.bss:
+                for c in tx.channels:
+                    self.history[(c, observer)].drop_last(len(tx.frames))
+        tx.frames = tx.planner = None
+        tx.end = tx.start + RTS_AIRTIME
 
     def _enter(self, bss, channels, frames):
         """Merge the spans of bss's frames on channels into the other

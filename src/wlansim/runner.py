@@ -248,8 +248,9 @@ def _trial_records(spec, params, trial, bonding, duration, burn_in, bss_objs,
 
 
 def _window_fields(m, w0, w1):
-    """Goodput, delay and, for a learning AP, channel shares over [w0, w1],
-    plus the per-arm shares behind them (None without decisions)."""
+    """Goodput and delay over (w0, w1] and, for a learning AP, the channel
+    shares of the cycles started in [w0, w1), plus the per-arm shares
+    behind them (None without decisions)."""
     fields = {"goodput_mbps": metrics.time_weighted_goodput(
                   m.sample_t, m.sample_bits, w0, w1),
               "delay_ms": metrics.delay_stats_ms(m.delay_ns, m.ack_times(),

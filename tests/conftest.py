@@ -33,7 +33,8 @@ class StubRng:
     """Deterministic stand-in for the backoff / error streams.
 
     integers() hands out the scripted draws, then the fill value; random(n)
-    returns a constant, so per-MPDU loss is all-or-nothing via bss.per.
+    returns a constant, so per-MPDU loss is all-or-nothing via bss.per, and
+    rewind(n) has nothing to give back.
     """
 
     def __init__(self, draws=(), fill=0, uniform=0.5):
@@ -46,6 +47,9 @@ class StubRng:
 
     def random(self, n):
         return np.full(n, self.uniform)
+
+    def rewind(self, n):
+        pass
 
 
 class AgentStub:

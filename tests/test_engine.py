@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wlansim.engine import (ARRIVAL, BLOCK, SEC, BlockRng, Scheduler, TIMER,
-                            rng_stream)
+from wlansim.engine import (ARRIVAL, BLOCK, FN, SEC, BlockRng, Scheduler,
+                            TIMER, rng_stream)
 
 
 def _collect(sim, log, tag):
@@ -60,7 +60,7 @@ def test_cancelled_event_never_fires():
     executed = sim.run_until(60)
     assert log == [(50, "keep")]
     assert executed == 1
-    assert not keep.cancelled
+    assert keep[FN] is not None and drop[FN] is None
 
 
 def test_run_until_counts_and_resumes():
@@ -92,7 +92,7 @@ def test_scheduling_into_the_past_raises():
 
 def _live(sim):
     """Heap entries whose event is still pending."""
-    return sum(1 for _, _, ev in sim._heap if not ev.cancelled)
+    return sum(1 for entry in sim._heap if entry[FN] is not None)
 
 
 def test_pending_excludes_cancelled():
@@ -185,6 +185,26 @@ def test_block_random_chunks_equal_one_generator_call(seed, sizes):
     chunks = []
     while sum(len(c) for c in chunks) < 3.5 * BLOCK:
         chunks.extend(block.random(n) for n in sizes)
+    got = np.concatenate(chunks)
+    assert np.array_equal(got, rng_stream(seed, 0, 1, 2).random(len(got)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), sizes=st.lists(
+    st.integers(0, 300) | st.integers(BLOCK - 5, 2 * BLOCK + 5),
+    min_size=1, max_size=12))
+def test_block_random_rewind_gives_the_same_draw_again(seed, sizes):
+    block = BlockRng(rng_stream(seed, 0, 1, 2))
+    sizes = [*sizes, 97]          # every pass moves on
+    chunks = []
+    while sum(len(c) for c in chunks) < 3.5 * BLOCK:
+        for n in sizes:
+            first = block.random(n).copy()
+            block.rewind(n)
+            again = block.random(n)
+            assert np.array_equal(first, again)
+            chunks.append(again)
+    # a rewound draw is handed out once: the stream is the generator's own
     got = np.concatenate(chunks)
     assert np.array_equal(got, rng_stream(seed, 0, 1, 2).random(len(got)))
 

@@ -68,9 +68,9 @@ GOLDEN = {
 }
 
 TRACE_GOLDEN = {
-    ("mp1", "linucb-ma"): "6a3bcbf57a0b533e90062aaa2d04e279ab87677ad102b159e01b170182c44fdf",
-    ("mp3", "ucb-sa"): "27840e0be821de4dde202fc8fa3e1eb982134a0b44ee7eef2fc28368d7c60201",
-    ("sp2-poisson", "static-ch7-dcb"): "9920e29ad470209666a4e029aa16a1e864839ca745cba6c5be5d64427f05b102",
+    ("mp1", "linucb-ma"): "da4ca5ec069d5b2cc112dfa7c95789ae564cb0e918c9f2aec49547b42fd41dcf",
+    ("mp3", "ucb-sa"): "81eddc12ef691942a756cb5a23f905e470ac3a6d22689f8f9d711ab69c57f606",
+    ("sp2-poisson", "static-ch7-dcb"): "d2a597a290161cc6901f8caacba44549d1179b9e9da064954ea3cb636559c224",
 }
 
 

@@ -18,7 +18,7 @@ from conftest import (AgentStub, ListenerRecorder, StubRng, build_cell,
 from wlansim import mac, scenarios
 from wlansim.agents import (ACTION_KEYS, Action, compute_reward,
                             make_controller)
-from wlansim.engine import MS, US
+from wlansim.engine import MS, PER_STREAM, US, BlockRng, rng_stream
 from wlansim.mac import (ABORTED, CTS_TIMEOUT, CW_MAX, CW_MIN,
                          DCB, PACKET_BYTES, FAILURE, SCB, SUCCESS,
                          TxQueue, beb_next_cw, dcb_transmit_set,
@@ -230,8 +230,9 @@ def test_uncontended_cycle_timing():
         draws=(5,), trace=lambda t, k, n: trace.append((t, k, n)))
     offer_packets(bss, 1)
     sim.run_until(1 * MS)
-    # three events: the backoff, the RTS end and the BA end
-    assert trace == [(79_000, "backoff", "ap1"), (131_000, "frame_end", "ap1"),
+    # two events: the backoff, which plans the exchange behind its clean
+    # RTS, and the BA end
+    assert trace == [(79_000, "backoff", "ap1"),
                      (389_400, "frame_end", "sta1")]
     outcome, start, end = bss.cycle_log[-1]
     assert outcome == SUCCESS
@@ -313,6 +314,46 @@ def test_two_aps_same_slot_collide_then_recover():
     assert bss2.cycle_log[-1][0] == SUCCESS
     assert bss1.metrics.acked_bytes == 1500
     assert bss2.metrics.acked_bytes == 1500
+
+
+def test_an_rts_at_the_same_instant_undoes_the_plan_of_the_first():
+    # AP 1's backoff runs first at 34 us: its RTS is clean then, so it plans
+    # the exchange; AP 2's RTS starts at the same nanosecond, so AP 1 undoes
+    # the plan and both collide
+    trace = []
+    sim, spectrum, bss1 = build_cell(
+        draws=(0, 2), trace=lambda t, k, n: trace.append((t, k, n)))
+    _, _, bss2 = build_cell(sim=sim, spectrum=spectrum, bss_id=2,
+                            draws=(0, 7))
+    for bss_id in (1, 2, 3):
+        spectrum.observe(bss_id)
+    bss1.rng_per = BlockRng(rng_stream(1, 0, 1, PER_STREAM))
+    first, second = rng_stream(1, 0, 1, PER_STREAM).random(2)
+    offer_packets(bss1, 1)
+    offer_packets(bss2, 1)
+    sim.run_until(34_000)
+    [rts1, rts2] = sorted(spectrum.active[1], key=lambda tx: tx.bss)
+    assert rts1.corrupted and rts2.corrupted and rts1.frames is None
+    assert rts1.end == rts2.end == 86_000
+    assert not bss1.metrics.sample_t and not bss2.metrics.sample_t
+    assert bss1.rng_per.random(1)[0] == first
+    bss1.rng_per.rewind(1)
+    # the RTS spans alone, merged into one where both are foreign
+    for c in BASIC_CHANNELS:
+        for own in (1, 2, 3):
+            expect = [(34_000, 86_000)] if c == 1 else []
+            assert list(spectrum.history[(c, own)]) == expect
+    sim.run_until(2 * MS)
+    # the undone BA end never fires; both RTS ends and timeouts do
+    assert (344_400, "frame_end", "sta1") not in trace
+    assert trace[:4] == [(34_000, "backoff", "ap1"),
+                         (34_000, "backoff", "ap2"),
+                         (86_000, "frame_end", "ap1"),
+                         (86_000, "frame_end", "ap2")]
+    assert bss1.cycle_log[-1] == (SUCCESS, 0, 483_400)
+    assert bss2.cycle_log[-1] == (SUCCESS, 0, 872_800)
+    # the retry drew the rewound error draw again, and nothing more
+    assert bss1.rng_per.random(1)[0] == second
 
 
 def test_scb_defers_until_secondary_clears():
@@ -400,8 +441,8 @@ def test_collided_rts_releases_the_channel_at_its_end():
 
 # AP 1 wins slot 0: RTS 34-86 us, CTS 102-146 us, data 162-260.4 us and
 # BA 276.4-344.4 us, with a SIFS gap after each of the first three
-@pytest.mark.parametrize("start", [90_000, 110_000, 200_000, 300_000],
-                         ids=["sifs-gap", "cts", "data", "ba"])
+@pytest.mark.parametrize("start", [60_000, 90_000, 110_000, 200_000, 300_000],
+                         ids=["rts", "sifs-gap", "cts", "data", "ba"])
 def test_foreign_frame_inside_a_won_exchange_raises(start):
     sim, spectrum, bss = build_cell(draws=(0,))
     foreign_frame(sim, spectrum, (1,), start, start + 8_000)
@@ -414,17 +455,25 @@ def test_foreign_frame_inside_a_won_exchange_raises(start):
 
 
 # AP 1 wins slot 0: its RTS starts at 34 us and ends at 86 us, and its BA
-# ends at 344.4 us
-@pytest.mark.parametrize("at,flag", [(34_000, 0), (86_000, 1), (344_400, 1)],
-                         ids=["rts-start", "rts-end", "ba-end"])
-def test_feature_flags_at_a_boundary_do_not_depend_on_event_order(at, flag):
+# ends at 344.4 us.  With a rival, AP 2 wins slot 0 too: both RTS frames
+# collide and end at 86 us, and each BSS sees the other's on channel 1
+@pytest.mark.parametrize("at,rival,flags", [
+    (34_000, False, ((0, 0, 0, 0), (0, 0, 0, 0))),
+    (86_000, True, ((1, 0, 0, 0), (1, 0, 0, 0))),
+    (344_400, False, ((1, 0, 0, 0), (0, 0, 0, 0)))],
+    ids=["rts-start", "rts-end", "ba-end"])
+def test_feature_flags_at_a_boundary_do_not_depend_on_event_order(
+        at, rival, flags):
     # a reader at t sees the air as it stood just before t, whether it runs
-    # before or after AP 1's event at t
+    # before or after the APs' events at t
     seen = {}
     for reader_first in (True, False):
-        sim, spectrum, bss = build_cell(draws=(0,))
+        sim, spectrum, bss = build_cell(draws=(0, 2))
         spectrum.observe(1)
         spectrum.observe(2)
+        if rival:
+            _, _, bss2 = build_cell(sim=sim, spectrum=spectrum, bss_id=2,
+                                    draws=(0, 7))
 
         def read(first=reader_first):
             now = sim.now()
@@ -439,11 +488,14 @@ def test_feature_flags_at_a_boundary_do_not_depend_on_event_order(at, flag):
             sim.schedule(at - 1, "timer", "test", sim.schedule, at, "timer",
                          "reader", read)
         offer_packets(bss, 1)
+        if rival:
+            offer_packets(bss2, 1)
         sim.run_until(1 * MS)
-        assert bss.cycle_log[-1][2] == 34_000 + EXCHANGE_20
+        assert bss.cycle_log[-1][2] == (483_400 if rival
+                                        else 34_000 + EXCHANGE_20)
     first, second = seen[True], seen[False]
     assert first[2] != second[2]      # the two readers saw different states
-    assert first[:2] == second[:2] == ((flag, 0, 0, 0), (0, 0, 0, 0))
+    assert first[:2] == second[:2] == flags
 
 
 class _EventCheck:

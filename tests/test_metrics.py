@@ -66,11 +66,20 @@ def test_delay_quartiles_small_case():
 
 
 def test_delay_window_filters_on_delivery_time():
+    # the ack at 2 s belongs to the window that ends there
     delay = [1 * MS, 9 * MS, 2 * MS]
     ack = [1 * SEC, 2 * SEC, 3 * SEC]
     stats = delay_stats_ms(delay, ack, 2 * SEC, 3 * SEC)
-    assert stats["count"] == 2
-    assert stats["mean"] == pytest.approx(5.5)
+    assert stats["count"] == 1
+    assert stats["mean"] == pytest.approx(2.0)
+
+
+def test_a_delivery_on_a_window_boundary_counts_once():
+    delay, ack = [4 * MS], [1 * SEC]
+    before = delay_stats_ms(delay, ack, 0, SEC)
+    after = delay_stats_ms(delay, ack, SEC, 2 * SEC)
+    assert (before["count"], before["mean"]) == (1, pytest.approx(4.0))
+    assert after["count"] == 0
 
 
 def test_delay_empty_window():

@@ -1,5 +1,6 @@
 """Propagation, MCS, airtimes, and shared-spectrum bookkeeping."""
 
+import itertools
 import math
 
 import pytest
@@ -176,6 +177,39 @@ def test_partial_width_overlap_corrupts_both():
     assert not a.corrupted and not b.corrupted
     s.add(c, 10)
     assert a.corrupted and b.corrupted and c.corrupted
+
+
+def test_an_rts_at_the_same_instant_undoes_a_plan():
+    # A's RTS on channels 1-2 is clean at 10 ns and planned; B's starts on
+    # channel 2 at the same nanosecond, so A's planner undoes the plan
+    s = _observed(1, 2, 3)
+    planner = _Planner(s)
+    rts = (10, 10 + phy.RTS_AIRTIME)
+    a = _tx((1, 2), *rts, bss=1)
+    s.add(a, 10)
+    s.hold(a, ((70_000, 110_000), (130_000, 200_000), (220_000, 280_000)),
+           planner)
+    assert a.end == 280_000 and len(s.history[(1, 3)]) == 4
+    b = _tx((2,), *rts, bss=2)
+    s.add(b, 10)
+    assert planner.unplanned == [a]
+    assert a.corrupted and b.corrupted
+    assert a.frames is None and a.end == rts[1]
+    # only the RTS spans stay, merged into one where both are foreign
+    for c, own in itertools.product((1, 2), (1, 2, 3)):
+        spans = s.history[(c, own)]
+        expect = [] if (c, own) == (1, 1) else [rts]
+        assert list(spans) == expect
+        assert spans.total == sum(e - t for t, e in expect)
+    # a frame that starts after a planned RTS's start is a fault
+    c = _tx((3,), *rts, bss=3)
+    s.add(c, 10)
+    s.hold(c, ((70_000, 110_000),), planner)
+    with pytest.raises(AssertionError, match=(
+            r"^BSS 4 started a frame at 11 ns on channel 3, held by the "
+            r"exchange of BSS 3$")):
+        s.add(_tx((3,), 11, 100, bss=4), 11)
+    assert planner.unplanned == [a]
 
 
 # -- busy views --
@@ -364,6 +398,18 @@ def _overlaps(a, b):
             and b[1] < (a[2] or 1 << 60))
 
 
+class _Planner:
+    """Undoes a plan on the spectrum as a Bss does, and logs each undo."""
+
+    def __init__(self, spectrum):
+        self.spectrum = spectrum
+        self.unplanned = []
+
+    def unplan(self, tx):
+        self.unplanned.append(tx)
+        self.spectrum.unhold(tx)
+
+
 def _held(exchange):
     """(channels, RTS start, BA end) of an exchange."""
     _, channels, rts, planned = exchange
@@ -427,11 +473,14 @@ def test_occupancy_matches_a_union_of_the_foreign_spans(case):
               in zip(txs, frames)]
              + [(t1, 0, s.remove, (tx, t1)) for tx, (_, _, _, t1)
                 in zip(txs, frames) if t1 is not None])
+    planner = _Planner(s)
     for b, c, (t0, t1), planned in exchanges:
         rts = _tx(c, t0, t1, bss=b)
-        edges += [(t0, 1, s.add, (rts, t0)), (t1, 0, s.hold, (rts, planned)),
+        # the clean RTS is planned at its start
+        edges += [(t0, 1, s.add, (rts, t0)),
+                  (t0, 1, s.hold, (rts, planned, planner)),
                   (planned[-1][1], 0, s.remove, (rts, planned[-1][1]))]
-    edges.sort(key=lambda e: e[:2])
+    edges.sort(key=lambda e: e[:2])   # stable: an RTS's add before its hold
     # every frame as (bss, channels, start, end), planned or on the air
     spans = [(b, c, t0, 1 << 60 if t1 is None else t1)
              for b, c, t0, t1 in frames]

@@ -2,6 +2,9 @@
 
 import gc
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -9,6 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import wlansim
 from wlansim import cli, mac, scenarios, tuning
 from wlansim.engine import SEC
 from wlansim.mac import PACKET_BYTES
@@ -210,6 +214,18 @@ def test_cli_list_scenarios(capsys):
     out = capsys.readouterr().out
     for name in scenarios.SCENARIO_NAMES:
         assert name in out
+
+
+def test_python_m_wlansim_runs_the_cli_from_a_checkout():
+    # the package as imported here, found through PYTHONPATH alone
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(wlansim.__file__)))
+    done = subprocess.run([sys.executable, "-m", "wlansim", "list-scenarios"],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    names = [line.split()[0] for line in done.stdout.splitlines()]
+    assert names == list(scenarios.SCENARIO_NAMES)
 
 
 def test_cli_run_and_export(tmp_path, capsys):
